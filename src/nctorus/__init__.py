@@ -38,6 +38,7 @@ from .expr import ParseError, format_complex, format_element, parse
 from .oracle import (
     MatrixRep,
     PsdVerdict,
+    brute_cesaro_word,
     brute_n0,
     brute_normal_form,
     gram_psd,

@@ -41,6 +41,7 @@ class _Token:
 
 
 _PUNCT = set("[]()^*+-/")
+_DIGITS = set("0123456789")  # str.isdigit also accepts superscripts and other scripts
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -59,9 +60,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("nat", text[start:i], line, col))
             col += i - start

@@ -1,7 +1,8 @@
 """Independent verifiers for the exact engine.
 
 Contains the deliberately naive or numeric counterparts of the fast paths:
-an adjacent-transposition normal former, divisibility scans and sieves for
+an adjacent-transposition normal former, the literal average over all
+2n+1 shifts for Cesaro states, divisibility scans and sieves for
 the isotropy generator, a finite clock-and-shift matrix model of the
 commutation relations, and exact (fraction LDL) or floating (eigensolve)
 positivity checks for moment and Gram matrices.
@@ -16,10 +17,19 @@ from math import pi
 
 import numpy as np
 
-from .algebra import Element, Word
+from .algebra import Element, TorusAlgebra, Word, word_translate
 from .deformation import DeformationParameter, InputError
-from .scalars import QQI_ZERO, QQI_ONE, QQi
-from .states import MomentSequence, StateSpec, evaluate, evaluate_float
+from .scalars import PC_ZERO, QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi
+from .states import (
+    BlockProductState,
+    CesaroState,
+    MomentSequence,
+    StateSpec,
+    evaluate,
+    evaluate_float,
+    evaluate_word,
+    evaluate_word_float,
+)
 
 
 def brute_normal_form(factors) -> tuple[int, Word]:
@@ -56,6 +66,27 @@ def brute_normal_form(factors) -> tuple[int, Word]:
         if total:
             word.append((idx, total))
     return twist, tuple(word)
+
+
+def brute_cesaro_word(state: CesaroState, word: Word, algebra: TorusAlgebra, *,
+                      mode: str = "exact", beta_value=None) -> PhaseCoefficient | complex:
+    """phi_n(w) as the plain average of the block product over 2n+1 shifts.
+
+    Evaluates the block product once per shift k in [-n, n], so the cost is
+    linear in n; exists to check the run-weighted sum of evaluate_word.
+    """
+    n = state.half_width
+    inner = BlockProductState(n, state.base)
+    shifts = range(-n, n + 1)
+    if mode == "exact":
+        acc = PC_ZERO
+        for k in shifts:
+            acc = acc + evaluate_word(inner, word_translate(word, k), algebra)
+        return acc * Fraction(1, 2 * n + 1)
+    acc = 0j
+    for k in shifts:
+        acc += evaluate_word_float(inner, word_translate(word, k), algebra, beta_value)
+    return acc / (2 * n + 1)
 
 
 def brute_n0(denominator: int) -> int:

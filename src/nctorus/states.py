@@ -175,7 +175,16 @@ class BlockProductState(StateSpec):
 
 @dataclass(frozen=True)
 class CesaroState(StateSpec):
-    """Average of the block product over the 2*half_width + 1 shifts."""
+    """Average of the block product over the 2*half_width + 1 shifts.
+
+    phi_n(w) = (1/(2n+1)) * sum over k in [-n, n] of B_n(tau^k w), with B_n
+    the block product.  The base is shift invariant, so B_n(tau^k w) only
+    depends on how the shift splits the support of w into blocks, and that
+    split changes at one cut point per distinct support index.  Evaluation
+    therefore sums one block value per run of equal splits, weighted by the
+    run length (cesaro_runs): at most (distinct support indices + 1) block
+    evaluations, however large n is.
+    """
 
     half_width: int
     base: StateSpec
@@ -279,6 +288,21 @@ def _block_split(word: Word, half_width: int):
         i = j
 
 
+def cesaro_runs(word: Word, half_width: int) -> list[tuple[int, int]]:
+    """(shift, count) pairs whose counts partition the Cesaro shifts.
+
+    Under the shift k, with t = k + half_width in [0, 2*half_width + 1), the
+    factor at index i sits in block (i + t) // (2*half_width + 1).  That
+    block changes only where t crosses (-i) mod (2*half_width + 1), so the
+    split of the word into blocks is constant between consecutive cut
+    points.  Each run is given by its first shift and its length.
+    """
+    span = 2 * half_width + 1
+    cuts = sorted({0} | {-i % span for i, _ in word})
+    ends = cuts[1:] + [span]
+    return [(t - half_width, end - t) for t, end in zip(cuts, ends)]
+
+
 def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra) -> PhaseCoefficient:
     """Exact value of the state on one normal-form word."""
     if isinstance(state, Trace):
@@ -308,10 +332,10 @@ def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra) -> PhaseC
         n = state.half_width
         inner = BlockProductState(n, state.base)
         acc = PC_ZERO
-        for k in range(-n, n + 1):
+        for k, count in cesaro_runs(word, n):
             v = evaluate_word(inner, word_translate(word, k), algebra)
             if v._terms:
-                acc = acc + v
+                acc = acc + v * count
         return acc * Fraction(1, 2 * n + 1)
     if isinstance(state, MixtureState):
         acc = PC_ZERO
@@ -368,8 +392,8 @@ def evaluate_word_float(state: StateSpec, word: Word, algebra: TorusAlgebra,
         n = state.half_width
         inner = BlockProductState(n, state.base)
         acc = 0j
-        for k in range(-n, n + 1):
-            acc += evaluate_word_float(
+        for k, count in cesaro_runs(word, n):
+            acc += count * evaluate_word_float(
                 inner, word_translate(word, k), algebra, beta_value
             )
         return acc / (2 * n + 1)
@@ -472,6 +496,13 @@ def state_to_json(state: StateSpec) -> dict:
     raise InputError(f"unknown state kind {type(state).__name__}")
 
 
+def _half_width_from_json(obj: dict) -> int:
+    n = obj.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"{obj['kind']} state needs an integer 'n', got {n!r}")
+    return n
+
+
 def state_from_json(obj, *, exact: bool = True) -> StateSpec:
     """Build a state from its structured description."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -492,11 +523,11 @@ def state_from_json(obj, *, exact: bool = True) -> StateSpec:
         return ProductState(MomentSequence(moments, exact=exact))
     if kind == "block":
         return BlockProductState(
-            int(obj["n"]), state_from_json(obj["base"], exact=exact)
+            _half_width_from_json(obj), state_from_json(obj.get("base"), exact=exact)
         )
     if kind == "cesaro":
         return CesaroState(
-            int(obj["n"]), state_from_json(obj["base"], exact=exact)
+            _half_width_from_json(obj), state_from_json(obj.get("base"), exact=exact)
         )
     if kind == "mixture":
         parts = []

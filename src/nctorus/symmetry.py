@@ -237,6 +237,12 @@ class CheckReport:
         return out
 
 
+def _check_budget(**fields: int) -> None:
+    for name, value in fields.items():
+        if value < 0:
+            raise InputError(f"{name} must be >= 0, got {value}")
+
+
 def _word_value(state, factors, algebra, mode, beta_value=None):
     twist, nf = normal_form(factors)
     if mode == "exact":
@@ -295,6 +301,9 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
     trials pairs of a random word and a random increasing table over its
     support window; trial i draws from seed xor i.
     """
+    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
+                  max_exponent=max_exponent, max_pivot=max_pivot,
+                  max_compose=max_compose)
     validate_state(state, beta, float_mode=(mode == "float"))
     algebra = TorusAlgebra(beta)
     budget = (
@@ -344,6 +353,8 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
                      max_exponent: int = 2, exhaustive: bool = True,
                      mode: str = "exact", beta_value=None) -> CheckReport:
     """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
+    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
+                  max_exponent=max_exponent)
     validate_state(state, beta, float_mode=(mode == "float"))
     algebra = TorusAlgebra(beta)
     budget = (
@@ -391,6 +402,8 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     beta: the annihilator is the whole circle, so rational angles
     j/angle_samples stand in for it.
     """
+    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
+                  max_exponent=max_exponent, angle_samples=angle_samples)
     validate_state(state, beta, float_mode=(mode == "float"))
     algebra = TorusAlgebra(beta)
     iso = algebra.isotropy

@@ -77,6 +77,10 @@ class TestParser:
             parse("u[2]*", a)
         with pytest.raises(ParseError):
             parse("2 2", a)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse("u[\u00b2]", a)  # superscript two
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse("u[\u0661]", a)  # Arabic-Indic digit one
         with pytest.raises(ParseError):
             parse("w[2]", a)
 
@@ -147,6 +151,15 @@ def state_files(tmp_path):
             },
         },
         "inadmissible": {"kind": "product", "moments": [[1, 1, 0], [-1, 1, 0]]},
+        "mixture": {
+            "kind": "mixture",
+            "parts": [
+                ["1/2", {"kind": "product", "moments": [[2, "2/3", 0], [4, "1/6", 0]]}],
+                ["1/2", {"kind": "product", "moments": []}],
+            ],
+        },
+        "n_not_int": {"kind": "block", "n": "x", "base": {"kind": "trace"}},
+        "n_missing": {"kind": "block", "base": {"kind": "trace"}},
     }
     for name, obj in specs.items():
         p = tmp_path / f"{name}.json"
@@ -266,6 +279,55 @@ class TestCli:
         assert "phi_10: 1/2" in out
         assert "gap: 0" in out
         assert "bound 4s/(2n+1): 0" in out
+
+    def test_cesaro_large_half_width(self, capsys, state_files):
+        n = 10**9
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "cesaro", "--alpha", "1/2", "--state", state_files["mixture"],
+                "--n", str(n), "u[0]^2*u[1]^2",
+            ],
+        )
+        assert code == 0
+        span = 2 * n + 1
+        assert f"phi_{n}: {F(2 * span - 1, 9 * span)}\n" in out
+        assert "phi: 2/9\n" in out
+
+    @pytest.mark.parametrize("text", ["u[\u00b2]", "u[\u0661]"])
+    def test_non_ascii_digit_exit_code(self, capsys, text):
+        code, out, err = run_cli(capsys, ["normal-form", "--alpha", "1/4", text])
+        assert code == 2
+        assert out == ""
+        assert "unexpected character" in err
+
+    def test_state_n_not_int_exit_code(self, capsys, state_files):
+        code, out, err = run_cli(
+            capsys, ["eval", "--alpha", "1/2", "--state", state_files["n_not_int"], "u[0]"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "integer 'n'" in err
+
+    def test_state_n_missing_exit_code(self, capsys, state_files):
+        code, out, err = run_cli(
+            capsys, ["eval", "--alpha", "1/2", "--state", state_files["n_missing"], "u[0]"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "integer 'n'" in err
+
+    def test_check_negative_trials_exit_code(self, capsys, state_files):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "check", "spreadable", "--alpha", "1/2", "--state", state_files["trace"],
+                "--no-exhaustive", "--trials", "-5",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "trials must be >= 0" in err
 
     def test_cluster_output(self, capsys, state_files):
         code, out, _ = run_cli(

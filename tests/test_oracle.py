@@ -5,18 +5,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import (
+    CesaroState,
+    IRRATIONAL,
     MatrixRep,
+    MixtureState,
     MomentSequence,
     ProductState,
     QQi,
     TRACE,
     TorusAlgebra,
+    brute_cesaro_word,
     brute_n0,
     brute_normal_form,
     canonicalize,
     evaluate,
+    evaluate_word,
+    evaluate_word_float,
     gram_psd,
     hermitian_psd_exact,
     matrix_rep,
@@ -45,6 +52,53 @@ class TestBruteNormalForm:
                 for _ in range(rng.randint(0, 8))
             ]
             assert brute_normal_form(factors) == normal_form(factors)
+
+
+def _criterion_8_mixture():
+    return MixtureState((
+        (F(1, 2), ProductState(MomentSequence({0: 1, 2: F(2, 3), 4: F(1, 6)}))),
+        (F(1, 2), ProductState(MomentSequence.lebesgue())),
+    ))
+
+
+CESARO_BETAS = [canonicalize(1, 2), canonicalize(1, 4), canonicalize(3, 8), IRRATIONAL]
+CESARO_BASES = [
+    TRACE,
+    ProductState(MomentSequence({0: 1, 2: F(1, 2)})),
+    _criterion_8_mixture(),
+    CesaroState(1, _criterion_8_mixture()),
+]
+
+
+class TestBruteCesaro:
+    def test_example(self):
+        # u0^2 u1^2 at n = 1: shifts -1, 0 keep both factors in one block
+        # (2/9 each), shift 1 separates them (1/9)
+        algebra = TorusAlgebra(canonicalize(1, 2))
+        state = CesaroState(1, _criterion_8_mixture())
+        word = ((0, 2), (1, 2))
+        assert brute_cesaro_word(state, word, algebra) == F(5, 27)
+        assert abs(brute_cesaro_word(state, word, algebra, mode="float") - 5 / 27) < 1e-12
+
+    @given(
+        st.sampled_from(CESARO_BETAS),
+        st.sampled_from(CESARO_BASES),
+        st.integers(0, 12),
+        st.lists(st.tuples(st.integers(-15, 15), st.integers(-2, 2)), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_shift_average(self, beta, base, n, factors):
+        # indices up to 15 against spans 2n+1 down to 1: small n cuts the
+        # support several times
+        algebra = TorusAlgebra(beta)
+        word = normal_form(factors)[1]
+        state = CesaroState(n, base)
+        assert evaluate_word(state, word, algebra) == brute_cesaro_word(
+            state, word, algebra
+        )
+        fast = evaluate_word_float(state, word, algebra)
+        slow = brute_cesaro_word(state, word, algebra, mode="float")
+        assert abs(fast - slow) <= 1e-9
 
 
 class TestN0:

@@ -30,6 +30,7 @@ from nctorus import (
     translate,
     validate_state,
 )
+from nctorus.states import cesaro_runs
 
 F = Fraction
 
@@ -239,6 +240,45 @@ class TestCesaro:
             x = a.word(factors)
             assert evaluate(state, translate(x, 1)) == evaluate(state, x)
 
+    def test_runs_partition_the_shifts(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            word = tuple(
+                (i, 1) for i in sorted(rng.sample(range(-20, 21), rng.randint(0, 4)))
+            )
+            runs = cesaro_runs(word, n)
+            assert sum(count for _, count in runs) == 2 * n + 1
+            assert all(-n <= k <= n and count > 0 for k, count in runs)
+            assert len(runs) <= len(word) + 1
+
+    def test_block_evaluations_independent_of_n(self, monkeypatch):
+        import nctorus.states as states
+
+        calls = []
+        inner = states.evaluate_word
+
+        def counting(state, word, algebra):
+            calls.append(type(state).__name__)
+            return inner(state, word, algebra)
+
+        monkeypatch.setattr(states, "evaluate_word", counting)
+        a = TorusAlgebra(BETA_HALF)
+        word = ((-3, 2), (0, 2), (4, -2))
+        counting(CesaroState(10**6, mixture_base()), word, a)
+        assert calls.count("CesaroState") == 1
+        assert calls.count("BlockProductState") <= len(word) + 1
+
+    def test_large_half_width_exact(self):
+        # one split joins u0 and u1 (value 2/9), the shift putting u1 at the
+        # start of the next block separates them (1/9)
+        a = TorusAlgebra(BETA_HALF)
+        x = a.word([(0, 2), (1, 2)])
+        n = 10**9
+        span = 2 * n + 1
+        value = evaluate(CesaroState(n, mixture_base()), x)
+        assert value == F(2 * span - 1, 9 * span)
+
     def test_convergence_bound_mixture_base(self):
         a = TorusAlgebra(BETA_HALF)
         base = mixture_base()
@@ -362,6 +402,17 @@ class TestJson:
             state_from_json(
                 {"kind": "mixture", "parts": [["1/2", {"kind": "trace"}]]}
             )
+
+    @pytest.mark.parametrize("kind", ["block", "cesaro"])
+    @pytest.mark.parametrize("n", ["x", "2", 2.0, True, None, [1]])
+    def test_half_width_must_be_json_integer(self, kind, n):
+        with pytest.raises(InputError, match="integer 'n'"):
+            state_from_json({"kind": kind, "n": n, "base": {"kind": "trace"}})
+
+    @pytest.mark.parametrize("kind", ["block", "cesaro"])
+    def test_half_width_required(self, kind):
+        with pytest.raises(InputError, match="integer 'n'"):
+            state_from_json({"kind": kind, "base": {"kind": "trace"}})
 
     def test_float_mode_parsing(self):
         obj = {"kind": "product", "moments": [[1, 0.5, 0.25], [-1, 0.5, -0.25]]}

@@ -211,3 +211,34 @@ class TestGauge:
                     (angle * deg) % 1
                 )
                 assert via_element == shortcut
+
+
+@pytest.mark.parametrize(
+    "checker", [check_spreadable, check_stationary, check_gauge_invariant]
+)
+@pytest.mark.parametrize(
+    "field", ["trials", "max_factors", "max_index", "max_exponent"]
+)
+def test_negative_budget_rejected(checker, field):
+    budget = dict(SMALL, **{field: -5})
+    with pytest.raises(InputError, match=f"{field} must be >= 0"):
+        checker(TRACE, BETA_HALF, **budget)
+
+
+@pytest.mark.parametrize("checker, field", [
+    (check_spreadable, "max_pivot"),
+    (check_spreadable, "max_compose"),
+    (check_gauge_invariant, "angle_samples"),
+])
+def test_negative_checker_specific_budget_rejected(checker, field):
+    with pytest.raises(InputError, match=f"{field} must be >= 0"):
+        checker(TRACE, BETA_HALF, **SMALL, **{field: -1})
+
+
+def test_zero_budget_accepted():
+    report = check_spreadable(
+        TRACE, BETA_HALF, trials=0, max_factors=0, max_index=0, max_exponent=0,
+        max_pivot=0, max_compose=0,
+    )
+    assert report.passed
+    assert report.random_trials == 0
