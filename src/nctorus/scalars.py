@@ -113,32 +113,18 @@ QQI_ONE = QQi(_F1, _F0)
 QQI_I = QQi(_F0, _F1)
 
 
-def _divisors(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[int]:
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact division by a monic integer polynomial, little-endian coefficients
-    num = list(num)
-    dn = len(den) - 1
-    q = [0] * (len(num) - dn)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dn]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[:dn]):
-        raise ArithmeticError("polynomial division left a remainder")
-    return q
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -148,10 +134,35 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("cyclotomic index must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    primes = _prime_factors(n)
+    rad = 1
+    for p in primes:
+        rad *= p
+    if rad != n:
+        # Phi_n(x) = Phi_rad(x**(n/rad)) for rad the squarefree kernel of n
+        stride = n // rad
+        out = [0] * ((len(cyclotomic_polynomial(rad)) - 1) * stride + 1)
+        for j, c in enumerate(cyclotomic_polynomial(rad)):
+            out[j * stride] = c
+        return tuple(out)
+    # squarefree n > 1: Phi_n = prod over d | n of (1 - x**d)**mu(n/d), a
+    # power series identity that is exact once truncated past degree phi(n)
+    deg = 1
+    for p in primes:
+        deg *= p - 1
+    poly = [1] + [0] * deg
+    divisors = [(1, 1)]  # (d, mu(n/d) * mu(n)) built up prime by prime
+    for p in primes:
+        divisors += [(d * p, -sign) for d, sign in divisors]
+    if len(primes) % 2:
+        divisors = [(d, -sign) for d, sign in divisors]
+    for d, sign in divisors:
+        if sign > 0:  # times (1 - x**d)
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:  # divided by (1 - x**d): running sums with stride d
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
     return tuple(poly)
 
 
