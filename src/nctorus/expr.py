@@ -211,7 +211,8 @@ def parse(text: str, algebra: TorusAlgebra) -> Element:
     return _Parser(_tokenize(text), algebra).parse()
 
 
-def _format_word(word) -> str:
+def format_word(word) -> str:
+    """Factors joined by '*', u[i]^e with the exponent 1 left out."""
     return "*".join(
         f"u[{i}]" if e == 1 else f"u[{i}]^{e}" for i, e in word
     )
@@ -224,7 +225,7 @@ def _format_term(word, angle: Fraction, power: int, weight: Fraction) -> str:
     if power:
         bits.append(f"E({power})")
     if word:
-        bits.append(_format_word(word))
+        bits.append(format_word(word))
     if weight != 1 or not bits:
         bits.insert(0, str(weight))
     return "*".join(bits)

@@ -15,17 +15,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from .algebra import TorusAlgebra, normal_form
-from .deformation import DeformationParameter, InputError
+from .deformation import DeformationParameter, InputError, isotropy
+from .expr import format_word
 from .scalars import PhaseCoefficient
-from .states import (
-    StateSpec,
-    describe_state,
-    evaluate_word,
-    evaluate_word_float,
-    validate_state,
-)
-
-FLOAT_TOLERANCE = 1e-9
+from .states import EXACT, FloatField, StateSpec, describe_state, validate_state
 
 
 class IncreasingMap:
@@ -241,51 +234,75 @@ def _check_budget(**fields: int) -> None:
     for name, value in fields.items():
         if value < 0:
             raise InputError(f"{name} must be >= 0, got {value}")
+    if fields.get("angle_samples") == 0:  # the random pass draws from the samples
+        raise InputError("angle_samples must be >= 1, got 0")
 
 
-def _word_value(state, factors, algebra, mode, beta_value=None):
+def _word_value(state, factors, algebra, field):
     twist, nf = normal_form(factors)
-    if mode == "exact":
-        v = evaluate_word(state, nf, algebra)
-        if twist and v._terms:
-            v = v * algebra.twist_phase(twist)
-        return v
-    v = evaluate_word_float(state, nf, algebra, beta_value)
-    if twist and v:
-        v *= algebra.twist_phase(twist).to_complex(beta_value)
+    v = field.word_value(state, nf, algebra)
+    if twist and not field.is_zero(v):
+        v = v * field.coefficient(algebra.twist_phase(twist))
     return v
 
 
-def _values_equal(a, b) -> bool:
-    if isinstance(a, PhaseCoefficient):
-        return a == b
-    return abs(a - b) <= FLOAT_TOLERANCE
+def _check(name, state, beta, actions_note, actions, draw, act, label, *,
+           trials, seed, max_factors, max_index, max_exponent, exhaustive,
+           mode, beta_value, **limits) -> CheckReport:
+    """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
-
-def _format_word(factors) -> str:
-    if not factors:
-        return "1"
-    return "*".join(
-        f"u[{i}]" if e == 1 else f"u[{i}]^{e}" for i, e in factors
+    act(action, factors) gives (angle, mapped factors): alpha sends the word
+    to e(angle) times the mapped word.  Exhaustive pass: every factor word
+    within the word budget against every action of actions().  Randomized
+    pass: trial t draws a word and then draw(rng, word) from seed xor t.
+    Pairs that an action leaves unchanged count as cases but are not
+    evaluated again.
+    """
+    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
+                  max_exponent=max_exponent, **limits)
+    validate_state(state, beta, float_mode=(mode == "float"))
+    algebra = TorusAlgebra(beta)
+    field = EXACT if mode == "exact" else FloatField(beta_value)
+    budget = (
+        f"words: <={max_factors} factors, |index|<={max_index}, "
+        f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
 
+    def image(factors, base, action):
+        angle, mapped = act(action, factors)
+        after = base if mapped == factors else _word_value(state, mapped, algebra, field)
+        if angle:
+            after = after * field.coefficient(PhaseCoefficient.unit_angle(angle))
+        return after
 
-def _format_value(v) -> str:
-    return str(v)
+    def failed(cases, done, factors, action, before, after):
+        cx = Counterexample(format_word(factors) or "1", label(action),
+                            str(before), str(after))
+        return CheckReport(name, describe_state(state), False, cases, done, cx, budget)
+
+    cases = 0
+    if exhaustive:
+        family = actions()
+        for factors in iter_factor_words(max_factors, max_index, max_exponent):
+            base = _word_value(state, factors, algebra, field)
+            for action in family:
+                cases += 1
+                after = image(factors, base, action)
+                if not field.equal(after, base):
+                    return failed(cases, 0, factors, action, base, after)
+    for t in range(trials):
+        rng = random.Random(seed ^ t)
+        factors = random_factor_word(rng, max_factors, max_index, max_exponent)
+        action = draw(rng, factors)
+        base = _word_value(state, factors, algebra, field)
+        after = image(factors, base, action)
+        if not field.equal(after, base):
+            return failed(cases, t + 1, factors, action, base, after)
+    return CheckReport(name, describe_state(state), True, cases, trials, None, budget)
 
 
-def _fail(name, state, cases, trials, factors, action, before, after, budget):
-    return CheckReport(
-        name,
-        describe_state(state),
-        False,
-        cases,
-        trials,
-        Counterexample(
-            _format_word(factors), action, _format_value(before), _format_value(after)
-        ),
-        budget,
-    )
+def _index_map_image(h, factors):
+    return 0, tuple((h(i), e) for i, e in factors)
 
 
 def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
@@ -301,49 +318,19 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
     trials pairs of a random word and a random increasing table over its
     support window; trial i draws from seed xor i.
     """
-    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
-                  max_exponent=max_exponent, max_pivot=max_pivot,
-                  max_compose=max_compose)
-    validate_state(state, beta, float_mode=(mode == "float"))
-    algebra = TorusAlgebra(beta)
-    budget = (
-        f"words: <={max_factors} factors, |index|<={max_index}, "
-        f"|exponent|<={max_exponent}; maps: <={max_compose} generators with "
-        f"|pivot|<={max_pivot}; trials: {trials}"
-    )
-    cases = 0
-    if exhaustive:
-        maps = spreading_map_grammar(max_pivot, max_compose)
-        for factors in iter_factor_words(max_factors, max_index, max_exponent):
-            base = _word_value(state, factors, algebra, mode, beta_value)
-            for h in maps:
-                mapped = tuple((h(i), e) for i, e in factors)
-                cases += 1
-                if mapped == factors:
-                    continue
-                val = _word_value(state, mapped, algebra, mode, beta_value)
-                if not _values_equal(val, base):
-                    return _fail(
-                        "spreadable", state, cases, 0, factors,
-                        h.describe(), base, val, budget,
-                    )
-    for t in range(trials):
-        rng = random.Random(seed ^ t)
-        factors = random_factor_word(rng, max_factors, max_index, max_exponent)
+    def draw(rng, factors):
         support = [i for i, _ in factors]
-        lo = min(support, default=0)
-        hi = max(support, default=0)
-        h = random_increasing_map(lo, hi, rng)
-        base = _word_value(state, factors, algebra, mode, beta_value)
-        mapped = tuple((h(i), e) for i, e in factors)
-        val = _word_value(state, mapped, algebra, mode, beta_value)
-        if not _values_equal(val, base):
-            return _fail(
-                "spreadable", state, cases, t + 1, factors,
-                h.describe(), base, val, budget,
-            )
-    return CheckReport(
-        "spreadable", describe_state(state), True, cases, trials, None, budget
+        lo, hi = min(support, default=0), max(support, default=0)
+        return random_increasing_map(lo, hi, rng)
+
+    return _check(
+        "spreadable", state, beta,
+        f"maps: <={max_compose} generators with |pivot|<={max_pivot}",
+        lambda: spreading_map_grammar(max_pivot, max_compose), draw,
+        _index_map_image, lambda h: h.describe(),
+        trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
+        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
+        beta_value=beta_value, max_pivot=max_pivot, max_compose=max_compose,
     )
 
 
@@ -353,40 +340,14 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
                      max_exponent: int = 2, exhaustive: bool = True,
                      mode: str = "exact", beta_value=None) -> CheckReport:
     """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
-    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
-                  max_exponent=max_exponent)
-    validate_state(state, beta, float_mode=(mode == "float"))
-    algebra = TorusAlgebra(beta)
-    budget = (
-        f"words: <={max_factors} factors, |index|<={max_index}, "
-        f"|exponent|<={max_exponent}; shift power: {power}; trials: {trials}"
-    )
-    action = f"tau^{power}"
-    cases = 0
-    if exhaustive:
-        for factors in iter_factor_words(max_factors, max_index, max_exponent):
-            cases += 1
-            base = _word_value(state, factors, algebra, mode, beta_value)
-            mapped = tuple((i + power, e) for i, e in factors)
-            val = _word_value(state, mapped, algebra, mode, beta_value)
-            if not _values_equal(val, base):
-                return _fail(
-                    "stationary", state, cases, 0, factors,
-                    action, base, val, budget,
-                )
-    for t in range(trials):
-        rng = random.Random(seed ^ t)
-        factors = random_factor_word(rng, max_factors, max_index, max_exponent)
-        base = _word_value(state, factors, algebra, mode, beta_value)
-        mapped = tuple((i + power, e) for i, e in factors)
-        val = _word_value(state, mapped, algebra, mode, beta_value)
-        if not _values_equal(val, base):
-            return _fail(
-                "stationary", state, cases, t + 1, factors,
-                action, base, val, budget,
-            )
-    return CheckReport(
-        "stationary", describe_state(state), True, cases, trials, None, budget
+    shift = Shift(power)
+    return _check(
+        "stationary", state, beta, f"shift power: {power}",
+        lambda: [shift], lambda rng, factors: shift,
+        _index_map_image, lambda h: f"tau^{power}",
+        trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
+        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
+        beta_value=beta_value,
     )
 
 
@@ -402,55 +363,19 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     beta: the annihilator is the whole circle, so rational angles
     j/angle_samples stand in for it.
     """
-    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
-                  max_exponent=max_exponent, angle_samples=angle_samples)
-    validate_state(state, beta, float_mode=(mode == "float"))
-    algebra = TorusAlgebra(beta)
-    iso = algebra.isotropy
+    iso = isotropy(beta)
     if iso.generator is not None:
         angles = list(iso.annihilator_angles())
         angle_note = f"all {iso.generator} annihilator angles"
     else:
         angles = [Fraction(j, angle_samples) for j in range(angle_samples)]
         angle_note = f"angles j/{angle_samples} sampling the whole circle"
-    budget = (
-        f"words: <={max_factors} factors, |index|<={max_index}, "
-        f"|exponent|<={max_exponent}; {angle_note}; trials: {trials}"
-    )
-
-    def gauged(value, factors, angle):
-        deg = sum(e for _, e in factors)
-        q = (angle * deg) % 1
-        if not q:
-            return value
-        phase = PhaseCoefficient.unit_angle(q)
-        if mode == "exact":
-            return value * phase
-        return value * phase.to_complex(beta_value)
-
-    cases = 0
-    if exhaustive:
-        for factors in iter_factor_words(max_factors, max_index, max_exponent):
-            base = _word_value(state, factors, algebra, mode, beta_value)
-            for angle in angles:
-                cases += 1
-                val = gauged(base, factors, angle)
-                if not _values_equal(val, base):
-                    return _fail(
-                        "gauge-invariant", state, cases, 0, factors,
-                        f"gauge angle {angle}", base, val, budget,
-                    )
-    for t in range(trials):
-        rng = random.Random(seed ^ t)
-        factors = random_factor_word(rng, max_factors, max_index, max_exponent)
-        angle = angles[rng.randrange(len(angles))]
-        base = _word_value(state, factors, algebra, mode, beta_value)
-        val = gauged(base, factors, angle)
-        if not _values_equal(val, base):
-            return _fail(
-                "gauge-invariant", state, cases, t + 1, factors,
-                f"gauge angle {angle}", base, val, budget,
-            )
-    return CheckReport(
-        "gauge-invariant", describe_state(state), True, cases, trials, None, budget
+    return _check(
+        "gauge-invariant", state, beta, angle_note,
+        lambda: angles, lambda rng, factors: angles[rng.randrange(len(angles))],
+        lambda z, factors: ((z * sum(e for _, e in factors)) % 1, factors),
+        lambda z: f"gauge angle {z}",
+        trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
+        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
+        beta_value=beta_value, angle_samples=angle_samples,
     )

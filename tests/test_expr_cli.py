@@ -397,3 +397,24 @@ class TestCli:
         code1, out1, _ = run_cli(capsys, argv)
         code2, out2, _ = run_cli(capsys, argv)
         assert (code1, out1) == (code2, out2)
+
+    def test_deep_state_file_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": "block", "n": 1, "base": ' * 3000
+                        + '{"kind": "trace"}' + "}" * 3000)
+        code, out, err = run_cli(
+            capsys, ["eval", "--alpha", "1/2", "--state", str(path), "u[0]"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad state file" in err
+
+    def test_moment_index_not_int_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "l_not_int.json"
+        path.write_text(json.dumps({"kind": "product", "moments": [["x", "1/2", 0]]}))
+        code, out, err = run_cli(
+            capsys, ["eval", "--alpha", "1/2", "--state", str(path), "u[0]"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "integer l" in err

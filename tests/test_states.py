@@ -435,6 +435,38 @@ class TestFloatPath:
             numeric = evaluate_float(state, x)
             assert abs(exact - numeric) < 1e-9
 
+    @pytest.mark.parametrize("beta, state", [
+        (BETA_HALF, BlockProductState(1, mixture_base())),
+        (BETA_HALF, CesaroState(2, ProductState(soft_moments()))),
+        (BETA_HALF, mixture_base()),
+        (BETA_HALF, CesaroState(1, mixture_base())),
+        (canonicalize(3, 8), CesaroState(1, ProductState(MomentSequence({0: 1, 4: F(1, 3)})))),
+        (IRRATIONAL, MixtureState((
+            (F(1, 3), TRACE),
+            (F(2, 3), CesaroState(1, ProductState(MomentSequence.lebesgue()))),
+        ))),
+        (IRRATIONAL, BlockProductState(2, TRACE)),
+    ])
+    def test_matches_exact_across_kinds(self, beta, state):
+        # a word times a reordering of its inverse is a twisted scalar,
+        # symbolic e(m*beta) at irrational beta
+        beta_value = 0.6180339887498949
+        a = TorusAlgebra(beta)
+        rng = random.Random(31)
+        for _ in range(40):
+            factors = [
+                (rng.randint(-2, 2), rng.choice((-4, -2, -1, 1, 2, 4)))
+                for _ in range(rng.randint(0, 4))
+            ]
+            inverse = [(i, -e) for i, e in factors]
+            rng.shuffle(inverse)
+            x = a.word(factors, QQi(F(1, 3), F(1, 7))) * (
+                a.word(inverse) + a.word(inverse[:2])
+            )
+            exact = evaluate(state, x).to_complex(beta_value)
+            numeric = evaluate_float(state, x, beta_value)
+            assert abs(exact - numeric) < 1e-9
+
     def test_inadmissible_scaling(self):
         # a moment off the isotropy subgroup makes the functional see the
         # gauge rotation: negative test in float mode
@@ -443,3 +475,56 @@ class TestFloatPath:
         with pytest.warns(UserWarning):
             before = evaluate_float(state, a.u(0))
         assert abs(before - 1) < 1e-12
+
+
+class TestStateFileHardening:
+    @pytest.mark.parametrize("l", ["x", "2", 1.5, True, None])
+    def test_moment_index_must_be_json_integer(self, l):
+        with pytest.raises(InputError, match="integer l"):
+            state_from_json({"kind": "product", "moments": [[l, "1/2", 0]]})
+
+    @pytest.mark.parametrize("kind, key", [("product", "moments"), ("mixture", "parts")])
+    @pytest.mark.parametrize("rows", [5, "x", {"a": 1}])
+    def test_rows_must_be_a_list(self, kind, key, rows):
+        with pytest.raises(InputError, match=f"list '{key}'"):
+            state_from_json({"kind": kind, key: rows})
+
+    @staticmethod
+    def nested(depth, kind):
+        obj = {"kind": "trace"}
+        for _ in range(depth - 1):
+            if kind == "cesaro":
+                obj = {"kind": "cesaro", "n": 1, "base": obj}
+            else:
+                obj = {"kind": "mixture", "parts": [["1/2", obj], ["1/2", {"kind": "trace"}]]}
+        return obj
+
+    @pytest.mark.parametrize("kind", ["cesaro", "mixture"])
+    def test_depth_cap(self, kind):
+        from nctorus.states import MAX_STATE_DEPTH
+
+        obj = self.nested(MAX_STATE_DEPTH, kind)
+        assert state_to_json(state_from_json(obj)) == obj
+        with pytest.raises(InputError, match="nest at most"):
+            state_from_json(self.nested(MAX_STATE_DEPTH + 1, kind))
+
+    def test_deep_object_rejected_without_recursion(self):
+        with pytest.raises(InputError, match="nest at most"):
+            state_from_json(self.nested(5000, "cesaro"))
+
+    @pytest.mark.parametrize("data", [
+        b'{"kind": "block", "n": 1, "base": ' * 3000 + b'{"kind": "trace"}' + b"}" * 3000,
+        b'\xff\xfe{"kind": "trace"}',
+    ], ids=["3000-deep", "not-utf8"])
+    def test_undecodable_file_rejected(self, tmp_path, data):
+        from nctorus import load_state
+
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="bad state file"):
+            load_state(str(path))
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_float_mode_bad_rational_string(self, text):
+        with pytest.raises(InputError, match="bad rational"):
+            state_from_json({"kind": "product", "moments": [[2, text, 0]]}, exact=False)
