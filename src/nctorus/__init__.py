@@ -41,6 +41,9 @@ from .oracle import (
     brute_cesaro_word,
     brute_n0,
     brute_normal_form,
+    brute_phase_is_zero,
+    brute_phase_reduce,
+    brute_phase_to_qqi,
     gram_psd,
     hermitian_psd_exact,
     hermitian_psd_float,

@@ -17,6 +17,12 @@ class InputError(ValueError):
     """Rejected constructor or command input."""
 
 
+# Largest cyclotomic level accepted from input: the denominator of beta or
+# of an angle e(p/q).  Factoring stays fast below it, and so does building
+# the cyclotomic polynomial that printing reduces by.
+MAX_LEVEL = 1 << 20
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive integer, sorted by prime."""
     if n < 1:
@@ -101,6 +107,10 @@ def parse_beta(text: str) -> DeformationParameter:
         f = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad deformation parameter {text!r}: {exc}") from None
+    if f.denominator > MAX_LEVEL:
+        raise InputError(
+            f"deformation parameter {text!r}: denominator above the limit {MAX_LEVEL}"
+        )
     return canonicalize(f.numerator, f.denominator)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, TorusAlgebra
-from .deformation import InputError
+from .deformation import MAX_LEVEL, InputError
 from .scalars import PhaseCoefficient
 
 
@@ -152,7 +152,11 @@ class _Parser:
             if tok.value == "e":
                 self.advance()
                 self.expect("(")
+                start = self.peek()
                 q = self.rational()
+                if q.denominator > MAX_LEVEL:
+                    raise ParseError(f"angle denominator above the limit {MAX_LEVEL}",
+                                     start.line, start.column)
                 self.expect(")")
                 return self.algebra.scalar(PhaseCoefficient.unit_angle(q))
             if tok.value == "E":

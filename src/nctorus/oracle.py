@@ -1,7 +1,8 @@
 """Independent verifiers for the exact engine.
 
 Contains the deliberately naive or numeric counterparts of the fast paths:
-an adjacent-transposition normal former, the literal average over all
+an adjacent-transposition normal former, dense power-basis arithmetic in
+the cyclotomic field for phase sums, the literal average over all
 2n+1 shifts for Cesaro states, divisibility scans and sieves for
 the isotropy generator, a finite clock-and-shift matrix model of the
 commutation relations, and exact (fraction LDL) or floating (eigensolve)
@@ -13,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi
+from math import lcm, pi
 
 import numpy as np
 
 from .algebra import Element, TorusAlgebra, Word, word_translate
 from .deformation import DeformationParameter, InputError
-from .scalars import PC_ZERO, QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi
+from .scalars import PC_ZERO, QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi, cyclotomic_polynomial
 from .states import (
     BlockProductState,
     CesaroState,
@@ -66,6 +67,115 @@ def brute_normal_form(factors) -> tuple[int, Word]:
         if total:
             word.append((idx, total))
     return twist, tuple(word)
+
+
+def _dense_residue(vec: list[Fraction], order: int) -> list[Fraction]:
+    """Remainder of sum vec[j]*x**j modulo the order-th cyclotomic polynomial."""
+    mod = cyclotomic_polynomial(order)
+    deg = len(mod) - 1
+    work = list(vec)
+    if len(work) < deg:
+        work.extend([Fraction(0)] * (deg - len(work)))
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            work[i] = Fraction(0)
+            base = i - deg
+            for j in range(deg):
+                if mod[j]:
+                    work[base + j] -= c * mod[j]
+    return work[:deg]
+
+
+def _dense_merge(pairs) -> dict[Fraction, Fraction]:
+    # e(q) = -e(q + 1/2) for q with a denominator of 2 mod 4
+    out: dict[Fraction, Fraction] = {}
+    for q, r in pairs:
+        if q.denominator % 4 == 2:
+            q, r = (q + Fraction(1, 2)) % 1, -r
+        acc = out.get(q, Fraction(0)) + r
+        if acc:
+            out[q] = acc
+        elif q in out:
+            del out[q]
+    return out
+
+
+def _dense_vector(terms: dict[Fraction, Fraction], level: int) -> list[Fraction]:
+    vec = [Fraction(0)] * level
+    for q, r in terms.items():
+        vec[int(q * level)] += r
+    return vec
+
+
+def _dense_buckets(pc: PhaseCoefficient) -> dict[int, dict[Fraction, Fraction]]:
+    buckets: dict[int, dict[Fraction, Fraction]] = {}
+    for (q, m), r in pc._terms.items():
+        buckets.setdefault(m, {})[q] = r
+    return buckets
+
+
+def _dense_is_zero(terms: dict[Fraction, Fraction]) -> bool:
+    if not terms:
+        return True
+    level = lcm(*(q.denominator for q in terms))
+    return not any(_dense_residue(_dense_vector(terms, level), level))
+
+
+def _dense_reduce(bucket: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
+    terms = _dense_merge(bucket.items())
+    for _ in range(64):
+        if not terms:
+            return {}
+        level = lcm(*(q.denominator for q in terms))
+        if level == 1:
+            return terms
+        res = _dense_residue(_dense_vector(terms, level), level)
+        nxt = _dense_merge((Fraction(j, level), c) for j, c in enumerate(res) if c)
+        if nxt == terms:
+            return terms
+        terms = nxt
+    raise AssertionError("cyclotomic reduction did not stabilize")
+
+
+def brute_phase_is_zero(pc: PhaseCoefficient) -> bool:
+    """Zero test by dense reduction modulo Phi_L, L the level of each bucket."""
+    return all(_dense_is_zero(b) for b in _dense_buckets(pc).values())
+
+
+def brute_phase_reduce(pc: PhaseCoefficient) -> PhaseCoefficient:
+    """Each symbolic bucket in the power basis, by dense reduction to a fixed point.
+
+    Each round reduces the length-L angle vector modulo Phi_L and rewrites
+    e(q) = -e(q + 1/2) for denominators of 2 mod 4; cost about
+    (L - phi(L)) * phi(L) per round.
+    """
+    out = {}
+    for m, bucket in _dense_buckets(pc).items():
+        for q, r in _dense_reduce(bucket).items():
+            out[(q, m)] = r
+    return PhaseCoefficient._make(out)
+
+
+def brute_phase_to_qqi(pc: PhaseCoefficient) -> QQi | None:
+    """Gaussian value by solving v = a*[1] + b*[i] in the power basis at lcm(L, 4)."""
+    buckets = _dense_buckets(pc)
+    if any(m and not _dense_is_zero(b) for m, b in buckets.items()):
+        return None
+    terms = _dense_reduce(buckets.get(0, {}))
+    if not terms:
+        return QQI_ZERO
+    level = lcm(4, *(q.denominator for q in terms))
+    target = _dense_residue(_dense_vector(terms, level), level)
+    ivec_raw = [Fraction(0)] * (level // 4 + 1)
+    ivec_raw[level // 4] = Fraction(1)
+    ivec = _dense_residue(ivec_raw, level)
+    b = next((target[j] / ivec[j] for j in range(1, len(ivec)) if ivec[j]), Fraction(0))
+    a = target[0] - b * ivec[0]
+    for j in range(len(target)):
+        if target[j] != b * ivec[j] + (a if j == 0 else 0):
+            return None
+    return QQi(a, b)
 
 
 def brute_cesaro_word(state: CesaroState, word: Word, algebra: TorusAlgebra, *,

@@ -4,9 +4,11 @@ The coefficient ring of the engine is spanned by unit phases
 e^(2*pi*i*(q + m*beta)) with q rational and m an integer.  m stays zero for
 rational beta (the twist folds into the angle) and is purely symbolic for
 irrational beta.  Sums of rational-angle phases can cancel without equal
-angles (all primitive L-th roots of unity sum to an integer), so zero tests
-and canonical forms reduce into the integral power basis of the L-th
-cyclotomic field, L the least common denominator of the angles.
+angles (all primitive L-th roots of unity sum to an integer), L the least
+common denominator of the angles.  Zero tests and Gaussian values work
+prime by prime on the terms present, at a cost in terms rather than in L;
+the canonical form that printing uses reduces into the integral power
+basis of the L-th cyclotomic field.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, pi
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm, pi
+
+from .deformation import MAX_LEVEL, InputError, factorize
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
@@ -113,28 +117,16 @@ QQI_ONE = QQi(_F1, _F0)
 QQI_I = QQi(_F0, _F1)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
+    if n > MAX_LEVEL:
+        raise InputError(f"cyclotomic level {n} exceeds the limit {MAX_LEVEL}")
     if n == 1:
         return (-1, 1)
-    primes = _prime_factors(n)
+    primes = [p for p, _ in factorize(n)]
     rad = 1
     for p in primes:
         rad *= p
@@ -166,93 +158,190 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _cyclotomic_residue(vec: list[Fraction], order: int) -> list[Fraction]:
-    """Remainder of sum vec[j]*x**j modulo the order-th cyclotomic polynomial."""
-    mod = cyclotomic_polynomial(order)
-    deg = len(mod) - 1
-    work = list(vec)
-    if len(work) < deg:
-        work.extend([_F0] * (deg - len(work)))
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = _F0
-            base = i - deg
-            for j in range(deg):
-                if mod[j]:
-                    work[base + j] -= c * mod[j]
-    return work[:deg]
+def _buckets(terms: dict) -> dict[int, dict[Fraction, Fraction]]:
+    """Angle terms {q: r} grouped by their symbolic power m."""
+    buckets: dict[int, dict[Fraction, Fraction]] = {}
+    for (q, m), r in terms.items():
+        buckets.setdefault(m, {})[q] = r
+    return buckets
 
 
-def _half_normalize(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
-    # e(q) = -e(q + 1/2); rewrite angles with denominator 2 mod 4 so the
-    # working cyclotomic level is never twice an odd number
-    if q.denominator % 4 == 2:
-        return (q + _HALF) % 1, -r
-    return q, r
+def _exponents(bucket: dict[Fraction, Fraction], level: int = 1):
+    """(L, {a: r}) with sum r*e(q) = sum r*zeta_L**a, L a multiple of level."""
+    level = lcm(level, *(q.denominator for q in bucket))
+    return level, {q.numerator * (level // q.denominator): r for q, r in bucket.items()}
 
 
-def _merge_normalized(pairs) -> dict[Fraction, Fraction]:
-    out: dict[Fraction, Fraction] = {}
-    for q, r in pairs:
-        q2, r2 = _half_normalize(q, r)
-        acc = out.get(q2, _F0) + r2
+def _vanishes(terms: dict, level: int, factors) -> bool:
+    """Whether sum r * zeta_level**a over terms {a: r}, all r nonzero, is zero.
+
+    Take the last prime power p**k of level = p**k * m.  Reading a as the
+    pair (b, c) = (a mod p**k, a mod m) applies a Galois automorphism of
+    Q(zeta_level), which keeps zero and nonzero apart, and gives
+    sum_b x_b zeta_(p**k)**b with x_b = sum r zeta_m**c in Q(zeta_m).  The
+    relations of zeta_(p**k) over Q(zeta_m) are the sums over the cosets
+    b + p**(k-1)*Z, so the sum vanishes exactly when on every coset the p
+    values x_b are equal: all present and equal, or, with one missing, all
+    zero.  The recursion on m costs O(terms * omega(level)) for few terms.
+    """
+    if len(terms) < 2:  # a level-1 sum has one term at most
+        return not terms
+    p, k = factors[-1]
+    factors = factors[:-1]
+    pk = p**k
+    rest = level // pk
+    step = pk // p
+    cosets: dict[int, dict[int, dict]] = {}
+    for a, r in terms.items():
+        b = a % pk
+        cosets.setdefault(b % step, {}).setdefault(b, {})[a % rest] = r
+    for coset in cosets.values():
+        if len(coset) < p:
+            if not all(_vanishes(x, rest, factors) for x in coset.values()):
+                return False
+            continue
+        xs = sorted(coset.values(), key=len)
+        base = xs[0]
+        for x in xs[1:]:
+            diff = dict(x)
+            for a, r in base.items():
+                acc = diff.get(a, 0) - r
+                if acc:
+                    diff[a] = acc
+                else:
+                    diff.pop(a, None)
+            if not _vanishes(diff, rest, factors):
+                return False
+    return True
+
+
+def _angles_vanish(bucket: dict[Fraction, Fraction]) -> bool:
+    if len(bucket) < 2:
+        return not bucket
+    level, terms = _exponents(bucket)
+    return _vanishes(terms, level, factorize(level))
+
+
+def _mobius_over_phi(order: int, factors) -> Fraction:
+    """mu(order) / phi(order) for order dividing prod p**k over factors."""
+    sign, phi = 1, 1
+    for p, _ in factors:
+        if order % p == 0:
+            order //= p
+            if order % p == 0:
+                return _F0
+            sign, phi = -sign, phi * (p - 1)
+    return Fraction(sign, phi)
+
+
+def _gaussian_value(bucket: dict[Fraction, Fraction]) -> QQi | None:
+    """sum r*e(q) as a Gaussian rational, or None when it is not one.
+
+    At N = lcm(L, 4) a Gaussian v = re + i*im has Tr(v) = phi(N)*re and
+    Tr(-i*v) = phi(N)*im, and Tr zeta_N**a = phi(N) * mu(d) / phi(d) for d the
+    order of zeta_N**a (Ramanujan's sum).  The candidate is accepted when
+    v - re - i*im vanishes.
+    """
+    if not bucket:
+        return QQI_ZERO
+    level, terms = _exponents(bucket, 4)
+    factors = factorize(level)
+    quarter = level // 4
+    re = im = _F0
+    for a, r in terms.items():
+        re += r * _mobius_over_phi(level // gcd(a, level), factors)
+        im += r * _mobius_over_phi(level // gcd(a - quarter, level), factors)
+    for a, r in ((0, re), (quarter, im)):
+        acc = terms.get(a, 0) - r
         if acc:
-            out[q2] = acc
-        elif q2 in out:
-            del out[q2]
-    return out
+            terms[a] = acc
+        else:
+            terms.pop(a, None)
+    return QQi(re, im) if _vanishes(terms, level, factors) else None
 
 
-def _angle_lcm(terms: dict[Fraction, Fraction]) -> int:
-    level = 1
-    for q in terms:
-        level = lcm(level, q.denominator)
-    return level
+def _reduce_angles(bucket: dict[Fraction, Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """Canonical terms of sum r*e(q): a fixed point of power-basis reduction.
 
-
-def _angle_vector(terms: dict[Fraction, Fraction], level: int) -> list[Fraction]:
-    vec = [_F0] * level
-    for q, r in terms.items():
-        vec[int(q * level)] += r
-    return vec
-
-
-def _angle_terms_are_zero(terms: dict[Fraction, Fraction]) -> bool:
-    if not terms:
-        return True
-    if len(terms) == 1:
-        return False
-    level = _angle_lcm(terms)
-    if level == 1:
-        return not sum(terms.values())
-    return not any(_cyclotomic_residue(_angle_vector(terms, level), level))
-
-
-def _reduce_angle_terms(bucket: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    terms = _merge_normalized(bucket.items())
-    for _ in range(64):
-        if not terms:
-            return {}
-        level = _angle_lcm(terms)
-        if level == 1:
-            return terms
-        res = _cyclotomic_residue(_angle_vector(terms, level), level)
-        nxt = _merge_normalized(
-            (Fraction(j, level), c) for j, c in enumerate(res) if c
-        )
+    Each round rewrites e(q) = -e(q + 1/2) wherever q has a denominator of
+    2 mod 4, so that the level L of the angles is never twice an odd
+    number, and then reduces modulo Phi_L into the exponents below phi(L);
+    it stops when a round changes nothing.  The work is on integer
+    exponents at level L and integer numerators over one denominator, and
+    the residue walks only the exponents at or above phi(L) that occur.
+    """
+    if not bucket:
+        return []
+    den = lcm(*(r.denominator for r in bucket.values()))
+    level = lcm(*(q.denominator for q in bucket))
+    residue = {q.numerator * (level // q.denominator): r.numerator * (den // r.denominator)
+               for q, r in bucket.items()}
+    terms = None
+    for _ in range(65):  # the first round only rewrites the input
+        # a/level has a denominator of 2 mod 4 when a has one factor 2 less than level
+        half = level & -level
+        nxt: dict[int, int] = {}
+        for a in sorted(residue):  # ascending, which keeps the final sort cheap
+            n = residue[a]
+            if half > 1 and a % half == half >> 1:
+                a, n = (a + level // 2) % level, -n
+            acc = nxt.get(a, 0) + n
+            if acc:
+                nxt[a] = acc
+            elif a in nxt:
+                del nxt[a]
         if nxt == terms:
-            return terms
-        terms = nxt
-    raise AssertionError("cyclotomic reduction did not stabilize")
+            break
+        if not nxt:
+            return []
+        step = gcd(level, *nxt)  # down to the level of the new angles
+        level //= step
+        terms = {a // step: n for a, n in nxt.items()}
+        if level == 1:
+            break
+        residue = _power_basis(terms, level)
+    else:
+        raise AssertionError("cyclotomic reduction did not stabilize")
+    weights = {n: Fraction(n, den) for n in set(terms.values())}
+    return [(Fraction(a, level), weights[n]) for a, n in terms.items()]
 
 
-_QUARTER_VALUES = {
-    Fraction(0): QQI_ONE,
-    _QUARTER: QQI_I,
-    _HALF: QQi(Fraction(-1), _F0),
-    Fraction(3, 4): QQi(_F0, Fraction(-1)),
-}
+def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
+    """Remainder of sum n * x**a modulo Phi_level, by sparse long division.
+
+    Walks the exponents at or above phi(level) from the top, over the
+    nonzero coefficients of Phi_level only.  Phi_level(x) is
+    Phi_rad(x**(level/rad)) for rad the squarefree kernel, so its nonzero
+    coefficients come from the smaller Phi_rad.
+    """
+    factors = factorize(level)
+    rad = deg = 1
+    for p, k in factors:
+        rad *= p
+        deg *= p ** (k - 1) * (p - 1)
+    high = [-a for a in terms if a >= deg]
+    if not high:
+        return terms
+    stride = level // rad
+    tail = [(j * stride, c) for j, c in enumerate(cyclotomic_polynomial(rad)[:-1]) if c]
+    work = dict(terms)
+    heapify(high)
+    while high:
+        top = -heappop(high)
+        n = work.pop(top)
+        if not n:
+            continue
+        base = top - deg
+        for j, c in tail:
+            e = base + j
+            prev = work.get(e)
+            if prev is None:
+                work[e] = -n * c
+                if e >= deg:
+                    heappush(high, -e)
+            else:
+                work[e] = prev - n * c
+    return {a: n for a, n in work.items() if n}
 
 
 class PhaseCoefficient:
@@ -328,12 +417,9 @@ class PhaseCoefficient:
         return cls._make({(_F0, m): _F1})
 
     def is_zero(self) -> bool:
-        if not self._terms:
-            return True
-        buckets: dict[int, dict[Fraction, Fraction]] = {}
-        for (q, m), r in self._terms.items():
-            buckets.setdefault(m, {})[q] = r
-        return all(_angle_terms_are_zero(b) for b in buckets.values())
+        if len(self._terms) < 2:
+            return not self._terms
+        return all(_angles_vanish(b) for b in _buckets(self._terms).values())
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -423,12 +509,9 @@ class PhaseCoefficient:
 
     def reduce(self) -> PhaseCoefficient:
         """Canonical form: each symbolic bucket in its cyclotomic power basis."""
-        buckets: dict[int, dict[Fraction, Fraction]] = {}
-        for (q, m), r in self._terms.items():
-            buckets.setdefault(m, {})[q] = r
         out: dict[tuple[Fraction, int], Fraction] = {}
-        for m, bucket in buckets.items():
-            for q, r in _reduce_angle_terms(bucket).items():
+        for m, bucket in _buckets(self._terms).items():
+            for q, r in _reduce_angles(bucket):
                 out[(q, m)] = r
         return PhaseCoefficient._make(out)
 
@@ -442,19 +525,11 @@ class PhaseCoefficient:
 
     def to_qqi(self) -> QQi | None:
         """The value as a Gaussian rational, or None when it is not one."""
-        buckets: dict[int, dict[Fraction, Fraction]] = {}
-        for (q, m), r in self._terms.items():
-            buckets.setdefault(m, {})[q] = r
+        buckets = _buckets(self._terms)
         for m, bucket in buckets.items():
-            if m != 0 and not _angle_terms_are_zero(bucket):
+            if m != 0 and not _angles_vanish(bucket):
                 return None
-        terms = _reduce_angle_terms(buckets.get(0, {}))
-        if all(q in _QUARTER_VALUES for q in terms):
-            val = QQI_ZERO
-            for q, r in terms.items():
-                val = val + _QUARTER_VALUES[q] * r
-            return val
-        return _solve_gaussian(terms)
+        return _gaussian_value(buckets.get(0, {}))
 
     def to_rational(self) -> Fraction | None:
         z = self.to_qqi()
@@ -500,31 +575,6 @@ class PhaseCoefficient:
 
     def __repr__(self) -> str:
         return f"PhaseCoefficient({self._terms!r})"
-
-
-def _solve_gaussian(terms: dict[Fraction, Fraction]) -> QQi | None:
-    # decide membership in Q(i) by solving v = a*[1] + b*[i] in the power
-    # basis of the cyclotomic field at a level divisible by 4
-    if not terms:
-        return QQI_ZERO
-    level = lcm(_angle_lcm(terms), 4)
-    target = _cyclotomic_residue(_angle_vector(terms, level), level)
-    ivec_raw = [_F0] * (level // 4 + 1)
-    ivec_raw[level // 4] = _F1
-    ivec = _cyclotomic_residue(ivec_raw, level)
-    b = None
-    for j in range(1, len(ivec)):
-        if ivec[j]:
-            b = target[j] / ivec[j]
-            break
-    if b is None:
-        b = _F0
-    a = target[0] - b * ivec[0]
-    for j in range(len(target)):
-        expect = b * ivec[j] + (a if j == 0 else _F0)
-        if target[j] != expect:
-            return None
-    return QQi(a, b)
 
 
 PC_ZERO = PhaseCoefficient._make({})

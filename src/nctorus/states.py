@@ -500,11 +500,14 @@ def _rational_from_json(value) -> Fraction:
 def _scalar_from_json(value, exact: bool):
     if exact:
         return _rational_from_json(value)
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
-        return float(_rational_from_json(value))
-    raise InputError(f"bad numeric value {value!r}")
+        value = _rational_from_json(value)
+    elif not isinstance(value, (int, float)):
+        raise InputError(f"bad numeric value {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError("numeric value too large for a float") from None
 
 
 def state_to_json(state: StateSpec) -> dict:

@@ -180,6 +180,8 @@ def iter_factor_words(max_factors: int, max_index: int,
 
 def random_factor_word(rng: random.Random, max_factors: int, max_index: int,
                        max_exponent: int) -> tuple[tuple[int, int], ...]:
+    if max_exponent == 0:  # no nonzero exponent: the empty word is the only word
+        return ()
     length = rng.randint(0, max_factors)
     word = []
     for _ in range(length):
@@ -230,12 +232,42 @@ class CheckReport:
         return out
 
 
-def _check_budget(**fields: int) -> None:
+# Largest exhaustive pass, in (word, action) cases; the CLI default budget
+# is 8421 words times 57 maps.
+MAX_EXHAUSTIVE_CASES = 10**7
+
+
+def _series(base: int, top: int) -> int:
+    """1 + base + ... + base**top, exact while it stays near MAX_EXHAUSTIVE_CASES.
+
+    For base >= 2 the terms past base**64 are left out: the sum is then far
+    above the limit anyway.
+    """
+    if top < 0:
+        return 0
+    if base < 2:
+        return 1 + base * top
+    top = min(top, 64)
+    return (base ** (top + 1) - 1) // (base - 1)
+
+
+def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
+    """Reject negative budgets and an exhaustive pass above MAX_EXHAUSTIVE_CASES.
+
+    The pass runs every word of <= max_factors factors, each from the
+    (2*max_index + 1) * 2*max_exponent singles, against each of the actions.
+    """
     for name, value in fields.items():
         if value < 0:
             raise InputError(f"{name} must be >= 0, got {value}")
     if fields.get("angle_samples") == 0:  # the random pass draws from the samples
         raise InputError("angle_samples must be >= 1, got 0")
+    singles = (2 * fields["max_index"] + 1) * 2 * fields["max_exponent"]
+    if exhaustive and _series(singles, fields["max_factors"]) * actions > MAX_EXHAUSTIVE_CASES:
+        raise InputError(
+            f"the exhaustive pass would run more than {MAX_EXHAUSTIVE_CASES} cases; "
+            "lower max_factors, max_index or max_exponent, or skip it"
+        )
 
 
 def _word_value(state, factors, algebra, field):
@@ -246,20 +278,20 @@ def _word_value(state, factors, algebra, field):
     return v
 
 
-def _check(name, state, beta, actions_note, actions, draw, act, label, *,
+def _check(name, state, beta, actions_note, action_count, actions, draw, act, label, *,
            trials, seed, max_factors, max_index, max_exponent, exhaustive,
            mode, beta_value, **limits) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
     act(action, factors) gives (angle, mapped factors): alpha sends the word
     to e(angle) times the mapped word.  Exhaustive pass: every factor word
-    within the word budget against every action of actions().  Randomized
-    pass: trial t draws a word and then draw(rng, word) from seed xor t.
-    Pairs that an action leaves unchanged count as cases but are not
-    evaluated again.
+    within the word budget against every action of actions(), a list of
+    action_count actions.  Randomized pass: trial t draws a word and then
+    draw(rng, word) from seed xor t.  Pairs that an action leaves unchanged
+    count as cases but are not evaluated again.
     """
-    _check_budget(trials=trials, max_factors=max_factors, max_index=max_index,
-                  max_exponent=max_exponent, **limits)
+    _check_budget(action_count, exhaustive, trials=trials, max_factors=max_factors,
+                  max_index=max_index, max_exponent=max_exponent, **limits)
     validate_state(state, beta, float_mode=(mode == "float"))
     algebra = TorusAlgebra(beta)
     field = EXACT if mode == "exact" else FloatField(beta_value)
@@ -326,6 +358,7 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
     return _check(
         "spreadable", state, beta,
         f"maps: <={max_compose} generators with |pivot|<={max_pivot}",
+        _series(2 * max_pivot + 3, max_compose),
         lambda: spreading_map_grammar(max_pivot, max_compose), draw,
         _index_map_image, lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
@@ -342,7 +375,7 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
     """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
     shift = Shift(power)
     return _check(
-        "stationary", state, beta, f"shift power: {power}",
+        "stationary", state, beta, f"shift power: {power}", 1,
         lambda: [shift], lambda rng, factors: shift,
         _index_map_image, lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
@@ -365,14 +398,15 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     """
     iso = isotropy(beta)
     if iso.generator is not None:
-        angles = list(iso.annihilator_angles())
-        angle_note = f"all {iso.generator} annihilator angles"
+        count = iso.generator
+        angle_note = f"all {count} annihilator angles"
     else:
-        angles = [Fraction(j, angle_samples) for j in range(angle_samples)]
-        angle_note = f"angles j/{angle_samples} sampling the whole circle"
+        count = angle_samples
+        angle_note = f"angles j/{count} sampling the whole circle"
     return _check(
-        "gauge-invariant", state, beta, angle_note,
-        lambda: angles, lambda rng, factors: angles[rng.randrange(len(angles))],
+        "gauge-invariant", state, beta, angle_note, count,
+        lambda: [Fraction(j, count) for j in range(count)],
+        lambda rng, factors: Fraction(rng.randrange(count), count),
         lambda z, factors: ((z * sum(e for _, e in factors)) % 1, factors),
         lambda z: f"gauge angle {z}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,

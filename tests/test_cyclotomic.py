@@ -1,0 +1,104 @@
+"""Sparse cyclotomic kernel: differential tests against the dense reference,
+cost in terms rather than in level, and the level limit."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nctorus import PhaseCoefficient, QQi, cyclotomic_polynomial, factorize, scalars
+from nctorus.deformation import MAX_LEVEL, InputError
+from nctorus.oracle import brute_phase_is_zero, brute_phase_reduce, brute_phase_to_qqi
+
+F = Fraction
+
+# primes, powers of 2 and 3, twice an odd number, smooth numbers
+LEVELS = [2, 3, 5, 7, 11, 13, 97, 101, 1009,
+          4, 8, 16, 64, 1024,
+          9, 27, 81, 729,
+          6, 10, 14, 30, 202, 1154,
+          12, 24, 60, 72, 210, 420]
+weights = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def phase_sums(draw):
+    """Phase sums at one level: loose terms, whole cosets of p-th roots
+    (p <= 101) times a phase, which cancel, cosets with one term missing,
+    Gaussian constants, and a few symbolic buckets at small levels."""
+    pairs = []
+
+    def bucket(level, m):
+        primes = [p for p, _ in factorize(level) if p <= 101]  # cosets of <= 101 terms
+        for _ in range(draw(st.integers(0, 4))):
+            pairs.append(((F(draw(st.integers(0, level - 1)), level), m), draw(weights)))
+        for _ in range(draw(st.integers(0, 2 if primes else 0))):
+            p = draw(st.sampled_from(primes))
+            c = F(draw(st.integers(0, level - 1)), level)
+            r = draw(weights)
+            skip = draw(st.sampled_from([None] * 3 + list(range(p))))
+            pairs.extend(((c + F(j, p), m), r) for j in range(p) if j != skip)
+        if draw(st.booleans()):
+            pairs.append(((F(draw(st.integers(0, 3)), 4), m), draw(weights)))
+
+    bucket(draw(st.sampled_from(LEVELS)), 0)
+    for m in draw(st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2, unique=True)):
+        bucket(draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12])), m)
+    return PhaseCoefficient(pairs)
+
+
+def assert_matches_reference(pc):
+    ref = brute_phase_reduce(pc)
+    assert pc.reduce()._terms == ref._terms
+    assert pc.is_zero() == brute_phase_is_zero(pc)
+    assert pc.to_qqi() == brute_phase_to_qqi(pc)
+    assert str(pc) == str(ref)
+
+
+@given(phase_sums())
+@settings(max_examples=150, deadline=None)
+def test_matches_dense_reference(pc):
+    assert_matches_reference(pc)
+
+
+def test_matches_dense_reference_at_smooth_1155():
+    # level 3*5*7*11 costs the dense reference seconds, so one fixed sum
+    c = F(2, 1155)
+    pc = PhaseCoefficient(
+        [((c + F(j, 7), 0), F(3, 2)) for j in range(7)]  # a whole coset
+        + [((F(1154, 1155), 0), F(2)), ((F(7, 1155), 0), F(-1)),
+           ((F(1, 3), 1), F(1)), ((F(2, 3), 1), F(1)), ((F(0), 1), F(1))]
+    )
+    assert_matches_reference(pc)
+
+
+@pytest.mark.parametrize("level", [100003, 1000003])
+def test_zero_and_gaussian_tests_cost_terms_not_level(level, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"the dense path built Phi_{n}")
+
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
+
+    def pc(*terms):
+        return PhaseCoefficient([((F(q), m), F(r)) for q, m, r in terms])
+
+    a = F(1, level)
+    half, third = F(1, 2), F(1, 3)
+    assert not pc((a, 0, 1), (2 * a, 0, 1)).is_zero()
+    assert pc((a, 0, 1), (a + half, 0, 1)).is_zero()
+    assert pc((a, 0, 2), (a + third, 0, 2), (a + 2 * third, 0, 2)).is_zero()
+    assert not pc((a, 0, 2), (a + third, 0, 2), (a + 2 * third, 0, 1)).is_zero()
+    assert pc((a, 1, 1), (a + half, 1, 1)).is_zero()  # a symbolic bucket
+    assert pc((a, 0, 1), (a + third, 0, 1)) == pc((a + 2 * third, 0, -1))
+    assert not pc((a, 0, 1), (a + third, 0, 1)) == pc((a + 2 * third, 0, 1))
+    assert pc((a, 0, 1), (a + half, 0, 1), (0, 0, 5)).to_qqi() == QQi(F(5), F(0))
+    assert pc((a, 0, 3), (a + half, 0, 3), (F(1, 4), 0, -1)).to_qqi() == QQi(F(0), F(-1))
+    assert pc((a, 0, 1), (0, 0, 2)).to_qqi() is None
+    assert pc((a, 0, 1), (-a, 0, 1)).to_qqi() is None  # 2 cos(2 pi / level)
+    assert pc((a, 0, 1), (a + half, 0, 1), (a, 2, 1)).to_qqi() is None
+
+
+def test_cyclotomic_polynomial_level_limit():
+    with pytest.raises(InputError, match="exceeds the limit"):
+        cyclotomic_polynomial(MAX_LEVEL + 1)
+    assert MAX_LEVEL >= 1000003

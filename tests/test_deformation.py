@@ -16,6 +16,7 @@ from nctorus import (
     parse_beta,
     twist_exponent,
 )
+from nctorus.deformation import MAX_LEVEL
 
 
 def test_canonicalize_reduces():
@@ -144,3 +145,13 @@ def test_generator_table_matches_pointwise():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(InputError):
         factorize(0)
+
+
+def test_parse_beta_level_limit():
+    assert parse_beta("1/100003").denominator == 100003
+    assert parse_beta("1/1000003").denominator == 1000003
+    assert parse_beta(f"1/{MAX_LEVEL}").denominator == MAX_LEVEL
+    assert parse_beta(f"{MAX_LEVEL + 1}/{2 * MAX_LEVEL + 2}").denominator == 2
+    for text in ("1/1000000000000000003", f"3/{MAX_LEVEL + 1}"):
+        with pytest.raises(InputError, match="above the limit"):
+            parse_beta(text)

@@ -418,3 +418,51 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "integer l" in err
+
+
+class TestLimits:
+    def test_angle_denominator_limit(self):
+        a = TorusAlgebra(BETA)
+        big = a.scalar(PhaseCoefficient.unit_angle(F(1, 1000003)))
+        assert parse("e(1/1000003)", a) == big
+        assert parse("e(2/2000006)", a) == big
+        with pytest.raises(ParseError, match="angle denominator above the limit"):
+            parse("e(1/1000000000000000003)", a)
+
+    def test_huge_alpha_denominator_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, ["n0", "--alpha", "1/1000000000000000003"])
+        assert code == 2
+        assert out == ""
+        assert "above the limit" in err
+
+    @pytest.mark.parametrize("denominator", [100003, 1000003])
+    def test_large_prime_alpha(self, capsys, denominator):
+        code, out, _ = run_cli(capsys, ["n0", "--alpha", f"1/{denominator}"])
+        assert (code, out) == (0, f"n0 = {denominator}\n")
+
+    @pytest.mark.parametrize("value", [10**340, "1" + "0" * 340 + "/1"],
+                             ids=["integer", "fraction"])
+    def test_float_overflow_exit_code(self, capsys, tmp_path, value):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "product", "moments": [[2, value, 0]]}))
+        code, out, err = run_cli(capsys, ["eval", "--alpha", "1/2", "--mode", "float",
+                                          "--state", str(path), "u[0]^2"])
+        assert code == 2
+        assert out == ""
+        assert "too large for a float" in err
+
+    def test_max_exponent_zero_check(self, capsys, state_files):
+        code, out, _ = run_cli(capsys, ["check", "spreadable", "--alpha", "1/2",
+                                        "--state", state_files["trace"],
+                                        "--max-exponent", "0", "--trials", "5"])
+        assert code == 0
+        assert "exhaustive cases: 57" in out
+        assert "result: PASS" in out
+
+    def test_oversized_exhaustive_budget_exit_code(self, capsys, state_files):
+        code, out, err = run_cli(capsys, ["check", "stationary", "--alpha", "1/2",
+                                          "--state", state_files["trace"],
+                                          "--max-factors", "9", "--trials", "0"])
+        assert code == 2
+        assert out == ""
+        assert "exhaustive pass" in err

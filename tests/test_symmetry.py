@@ -23,9 +23,16 @@ from nctorus import (
     check_spreadable,
     check_stationary,
     compose,
+    isotropy,
     random_increasing_map,
 )
-from nctorus.symmetry import iter_factor_words, spreading_map_grammar
+from nctorus.symmetry import (
+    MAX_EXHAUSTIVE_CASES,
+    _series,
+    iter_factor_words,
+    random_factor_word,
+    spreading_map_grammar,
+)
 
 F = Fraction
 BETA_HALF = canonicalize(1, 2)
@@ -242,3 +249,52 @@ def test_zero_budget_accepted():
     )
     assert report.passed
     assert report.random_trials == 0
+
+
+def test_max_exponent_zero_draws_the_empty_word():
+    assert random_factor_word(random.Random(3), 3, 2, 0) == ()
+    report = check_spreadable(TRACE, BETA_HALF, trials=5, max_exponent=0)
+    assert report.passed
+    assert (report.exhaustive_cases, report.random_trials) == (57, 5)
+
+
+def test_random_words_unchanged_for_nonzero_exponents():
+    # the draws of the checkers' random pass, pinned
+    assert random_factor_word(random.Random(0), 3, 2, 2) == ((-2, 1), (1, 2), (0, 1))
+    assert random_factor_word(random.Random(7), 3, 2, 2) == ((1, -1), (-2, -2))
+    assert random_factor_word(random.Random(12345), 4, 3, 1) == ((-3, 1), (-1, -1), (0, 1))
+
+
+@pytest.mark.parametrize("checker", [check_spreadable, check_stationary, check_gauge_invariant])
+@pytest.mark.parametrize("budget", [
+    dict(max_factors=2, max_index=1, max_exponent=1),
+    dict(max_factors=3, max_index=0, max_exponent=2),
+    dict(max_factors=0, max_index=5, max_exponent=5),
+])
+def test_exhaustive_count_closed_form(checker, budget):
+    report = checker(TRACE, BETA_HALF, trials=0, **budget)
+    singles = (2 * budget["max_index"] + 1) * 2 * budget["max_exponent"]
+    words = sum(singles**j for j in range(budget["max_factors"] + 1))
+    actions = {check_spreadable: 57, check_stationary: 1,
+               check_gauge_invariant: isotropy(BETA_HALF).generator}[checker]
+    assert report.exhaustive_cases == words * actions
+    assert _series(singles, budget["max_factors"]) == words
+
+
+@pytest.mark.parametrize("checker", [check_spreadable, check_stationary, check_gauge_invariant])
+def test_oversized_exhaustive_budget_rejected(checker):
+    with pytest.raises(InputError, match=f"more than {MAX_EXHAUSTIVE_CASES} cases"):
+        checker(TRACE, BETA_HALF, trials=0, max_factors=9)
+    with pytest.raises(InputError, match="exhaustive pass"):
+        checker(TRACE, BETA_HALF, trials=0, max_factors=10**12, max_index=10**6)
+    # the random pass alone has no such bound
+    report = checker(TRACE, BETA_HALF, trials=3, max_factors=9, exhaustive=False)
+    assert report.passed and report.exhaustive_cases == 0
+
+
+def test_exhaustive_limit_between_budgets():
+    # the CLI default is 8421 words times 57 maps; 6 factors of 20 singles pass the limit
+    assert 8421 * 57 <= MAX_EXHAUSTIVE_CASES
+    assert _series(20, 5) <= MAX_EXHAUSTIVE_CASES < _series(20, 6)
+    assert _series(2, 10**9) > MAX_EXHAUSTIVE_CASES
+    assert _series(0, 10**9) == 1
