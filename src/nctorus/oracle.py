@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, pi
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import Element, TorusAlgebra, Word, word_translate
-from .deformation import DeformationParameter, InputError
+from .deformation import MAX_LEVEL, DeformationParameter, InputError
 from .scalars import PC_ZERO, QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi, cyclotomic_polynomial
 from .states import (
     BlockProductState,
@@ -31,6 +30,9 @@ from .states import (
     evaluate_word,
     evaluate_word_float,
 )
+
+if TYPE_CHECKING:  # numpy loads on first use, not with the package
+    import numpy as np
 
 
 def brute_normal_form(factors) -> tuple[int, Word]:
@@ -200,9 +202,15 @@ def brute_cesaro_word(state: CesaroState, word: Word, algebra: TorusAlgebra, *,
 
 
 def brute_n0(denominator: int) -> int:
-    """Least k >= 1 whose square the denominator divides, by direct scan."""
+    """Least k >= 1 whose square the denominator divides, by direct scan.
+
+    The scan takes up to denominator steps, so denominators above
+    deformation.MAX_LEVEL are refused, as they are for beta itself.
+    """
     if denominator < 1:
         raise InputError("denominator must be a positive integer")
+    if denominator > MAX_LEVEL:
+        raise InputError(f"denominator above the limit {MAX_LEVEL}")
     k = 1
     while (k * k) % denominator:
         k += 1
@@ -254,6 +262,8 @@ class MatrixRep:
         self.beta = beta
         self.modulus = beta.denominator
         self.generators = generators
+        import numpy as np
+
         d = self.modulus
         angles = 2 * pi * beta.numerator * np.arange(d) / d
         self.clock = np.diag(np.exp(1j * angles))
@@ -266,15 +276,21 @@ class MatrixRep:
 
     @property
     def lam(self) -> complex:
+        import numpy as np
+
         n, d = self.beta.numerator, self.beta.denominator
         return complex(np.exp(2j * pi * n / d))
 
     def clock_power(self, a: int) -> np.ndarray:
+        import numpy as np
+
         d = self.modulus
         angles = 2 * pi * self.beta.numerator * np.arange(d) * a / d
         return np.diag(np.exp(1j * angles))
 
     def step_power(self, a: int) -> np.ndarray:
+        import numpy as np
+
         d = self.modulus
         out = np.zeros((d, d), dtype=complex)
         for k in range(d):
@@ -293,6 +309,8 @@ class MatrixRep:
 
     def generator_matrix(self, gen: int) -> np.ndarray:
         """Dense D^m x D^m matrix of one generator (small sizes only)."""
+        import numpy as np
+
         size = self.modulus ** self.generators
         if size > 4096:
             raise InputError(
@@ -305,6 +323,8 @@ class MatrixRep:
 
     def verify(self, tolerance: float = 1e-12) -> None:
         """Check unitarity and the commutation relations factorwise."""
+        import numpy as np
+
         d = self.modulus
         for mat in (self.clock, self.step):
             err = np.abs(mat @ mat.conj().T - np.eye(d)).max()
@@ -336,6 +356,8 @@ def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
     a generator with the identity, so larger exponents wrap around mod D and
     deliberately diverge from the infinite algebra.
     """
+    import numpy as np
+
     d = rep.modulus
     m = rep.generators
     totals: dict[int, int] = {}
@@ -467,6 +489,8 @@ def hermitian_psd_float(matrix: np.ndarray, tolerance: float = -1e-10) -> PsdVer
     The Hermitian part (M + M*)/2 is used, which carries the real part of
     the quadratic form; for a genuine state Gram matrix the two coincide.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex)
     herm = (m + m.conj().T) / 2
     values, vectors = np.linalg.eigh(herm)
@@ -492,6 +516,8 @@ def toeplitz_psd(moments: MomentSequence, order: int) -> PsdVerdict:
             for i in range(size)
         ]
         return hermitian_psd_exact(matrix)
+    import numpy as np
+
     numeric = np.array(
         [[moments.moment(i - j) for j in range(size)] for i in range(size)],
         dtype=complex,
@@ -523,6 +549,8 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
                 row.append(value)
             entries.append(row)
         return hermitian_psd_exact(entries)
+    import numpy as np
+
     numeric = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):

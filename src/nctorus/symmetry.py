@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import TorusAlgebra, normal_form
+from .algebra import TorusAlgebra, normal_form, word_degree
 from .deformation import DeformationParameter, InputError, isotropy
 from .expr import format_word
 from .scalars import PhaseCoefficient
@@ -235,6 +235,8 @@ class CheckReport:
 # Largest exhaustive pass, in (word, action) cases; the CLI default budget
 # is 8421 words times 57 maps.
 MAX_EXHAUSTIVE_CASES = 10**7
+# Largest randomized pass, in trials.
+MAX_TRIALS = 10**7
 
 
 def _series(base: int, top: int) -> int:
@@ -252,7 +254,8 @@ def _series(base: int, top: int) -> int:
 
 
 def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
-    """Reject negative budgets and an exhaustive pass above MAX_EXHAUSTIVE_CASES.
+    """Reject negative budgets, more than MAX_TRIALS trials and an exhaustive
+    pass above MAX_EXHAUSTIVE_CASES.
 
     The pass runs every word of <= max_factors factors, each from the
     (2*max_index + 1) * 2*max_exponent singles, against each of the actions.
@@ -262,6 +265,8 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
             raise InputError(f"{name} must be >= 0, got {value}")
     if fields.get("angle_samples") == 0:  # the random pass draws from the samples
         raise InputError("angle_samples must be >= 1, got 0")
+    if fields["trials"] > MAX_TRIALS:
+        raise InputError(f"trials must be <= {MAX_TRIALS}, got {fields['trials']}")
     singles = (2 * fields["max_index"] + 1) * 2 * fields["max_exponent"]
     if exhaustive and _series(singles, fields["max_factors"]) * actions > MAX_EXHAUSTIVE_CASES:
         raise InputError(
@@ -270,12 +275,10 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
         )
 
 
-def _word_value(state, factors, algebra, field):
-    twist, nf = normal_form(factors)
-    v = field.word_value(state, nf, algebra)
-    if twist and not field.is_zero(v):
-        v = v * field.coefficient(algebra.twist_phase(twist))
-    return v
+# Per-check memo of state values, keyed by normal-form word; past this many
+# entries values are computed afresh.  The CLI default budget meets about
+# 4,800 distinct normal forms.
+MAX_CACHED_VALUES = 2**16
 
 
 def _check(name, state, beta, actions_note, action_count, actions, draw, act, label, *,
@@ -283,12 +286,16 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
            mode, beta_value, **limits) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
-    act(action, factors) gives (angle, mapped factors): alpha sends the word
-    to e(angle) times the mapped word.  Exhaustive pass: every factor word
-    within the word budget against every action of actions(), a list of
-    action_count actions.  Randomized pass: trial t draws a word and then
-    draw(rng, word) from seed xor t.  Pairs that an action leaves unchanged
-    count as cases but are not evaluated again.
+    act(action, window) gives a move on normal-form words with indices in
+    window: move(word) is (angle, mapped word), and alpha sends the word to
+    e(angle) times the mapped word.  Each word is normal-ordered once and
+    the actions move its normal form, which is sound because index maps
+    increase strictly (no new inversions) and gauge actions keep the degree.
+    Exhaustive pass: every factor word within the word budget against every
+    action of actions(), a list of action_count actions.  Randomized pass:
+    trial t draws a word and then draw(rng, word) from seed xor t.  Pairs
+    that an action leaves unchanged count as cases but are not evaluated
+    again.
     """
     _check_budget(action_count, exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent, **limits)
@@ -299,10 +306,22 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         f"words: <={max_factors} factors, |index|<={max_index}, "
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
+    window = range(-max_index, max_index + 1)
+    values = {}
 
-    def image(factors, base, action):
-        angle, mapped = act(action, factors)
-        after = base if mapped == factors else _word_value(state, mapped, algebra, field)
+    def word_value(twist, word):
+        v = values.get(word)
+        if v is None:
+            v = field.word_value(state, word, algebra)
+            if len(values) < MAX_CACHED_VALUES:
+                values[word] = v
+        if twist and not field.is_zero(v):
+            v = v * field.coefficient(algebra.twist_phase(twist))
+        return v
+
+    def image(twist, nf, base, move):
+        angle, mapped = move(nf)
+        after = base if mapped == nf else word_value(twist, mapped)
         if angle:
             after = after * field.coefficient(PhaseCoefficient.unit_angle(angle))
         return after
@@ -314,27 +333,35 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
 
     cases = 0
     if exhaustive:
-        family = actions()
+        moves = [(action, act(action, window)) for action in actions()]
         for factors in iter_factor_words(max_factors, max_index, max_exponent):
-            base = _word_value(state, factors, algebra, field)
-            for action in family:
+            twist, nf = normal_form(factors)
+            base = word_value(twist, nf)
+            for action, move in moves:
                 cases += 1
-                after = image(factors, base, action)
+                after = image(twist, nf, base, move)
                 if not field.equal(after, base):
                     return failed(cases, 0, factors, action, base, after)
     for t in range(trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)
         action = draw(rng, factors)
-        base = _word_value(state, factors, algebra, field)
-        after = image(factors, base, action)
+        twist, nf = normal_form(factors)
+        base = word_value(twist, nf)
+        after = image(twist, nf, base, act(action, window))
         if not field.equal(after, base):
             return failed(cases, t + 1, factors, action, base, after)
     return CheckReport(name, describe_state(state), True, cases, trials, None, budget)
 
 
-def _index_map_image(h, factors):
-    return 0, tuple((h(i), e) for i, e in factors)
+def _index_map_move(h, window):
+    """h as a lookup table on the window, applied to each index of a word."""
+    table = {i: h(i) for i in window}
+    return lambda word: (0, tuple((table[i], e) for i, e in word))
+
+
+def _gauge_move(z, window):
+    return lambda word: ((z * word_degree(word)) % 1, word)
 
 
 def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
@@ -360,7 +387,7 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
         f"maps: <={max_compose} generators with |pivot|<={max_pivot}",
         _series(2 * max_pivot + 3, max_compose),
         lambda: spreading_map_grammar(max_pivot, max_compose), draw,
-        _index_map_image, lambda h: h.describe(),
+        _index_map_move, lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
         beta_value=beta_value, max_pivot=max_pivot, max_compose=max_compose,
@@ -377,7 +404,7 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
     return _check(
         "stationary", state, beta, f"shift power: {power}", 1,
         lambda: [shift], lambda rng, factors: shift,
-        _index_map_image, lambda h: f"tau^{power}",
+        _index_map_move, lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
         beta_value=beta_value,
@@ -407,7 +434,7 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
         "gauge-invariant", state, beta, angle_note, count,
         lambda: [Fraction(j, count) for j in range(count)],
         lambda rng, factors: Fraction(rng.randrange(count), count),
-        lambda z, factors: ((z * sum(e for _, e in factors)) % 1, factors),
+        _gauge_move,
         lambda z: f"gauge angle {z}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,

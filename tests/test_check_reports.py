@@ -22,6 +22,7 @@ from nctorus import (
     check_gauge_invariant,
     check_spreadable,
     check_stationary,
+    symmetry,
 )
 
 F = Fraction
@@ -144,6 +145,35 @@ GOLDEN = [
 def test_fail_report_lines(checker, make_state, beta, options, expected):
     report = checker(make_state(), beta, **WORDS, **options)
     assert report.lines() == expected
+
+
+def soft_product():
+    return ProductState(MomentSequence({0: 1, 2: F(1, 2)}))
+
+
+def lebesgue():
+    return ProductState(MomentSequence.lebesgue())
+
+
+PASSES = [
+    (check_spreadable, soft_product, BETA_HALF, dict(trials=20)),
+    (check_spreadable, soft_product, BETA_HALF, dict(trials=20, mode="float")),
+    (check_stationary, mixture_block, BETA_HALF, dict(trials=20, power=3)),
+    (check_stationary, cesaro_mixture, BETA_HALF, dict(trials=20, mode="float")),
+    (check_gauge_invariant, mixture_base, BETA_HALF, dict(trials=20)),
+    (check_gauge_invariant, lebesgue, IRRATIONAL,
+     dict(trials=20, mode="float", beta_value=0.3)),
+]
+
+
+@pytest.mark.filterwarnings("ignore:moments supported outside")
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize("checker, make_state, beta, options",
+                         [case[:4] for case in GOLDEN] + PASSES)
+def test_value_cache_cap_keeps_reports(monkeypatch, cap, checker, make_state, beta, options):
+    expected = checker(make_state(), beta, **WORDS, **options).lines()
+    monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", cap)
+    assert checker(make_state(), beta, **WORDS, **options).lines() == expected
 
 
 def test_zero_angle_samples_rejected():

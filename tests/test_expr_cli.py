@@ -1,7 +1,10 @@
 """Expression grammar and command line tests."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from nctorus import (
     format_element,
     parse,
 )
+import nctorus
 from nctorus.cli import main
 from nctorus.expr import ParseError, format_complex
 
@@ -466,3 +470,42 @@ class TestLimits:
         assert code == 2
         assert out == ""
         assert "exhaustive pass" in err
+
+    def test_oracle_n0_denominator_limit(self, capsys):
+        code, out, err = run_cli(capsys, ["oracle", "n0", "1000000000000000003"])
+        assert code == 2
+        assert out == ""
+        assert "above the limit" in err
+        code, out, _ = run_cli(capsys, ["oracle", "n0", str(2**20)])
+        assert (code, out) == (0, "n0 = 1024\n")
+
+    def test_trials_limit_exit_code(self, capsys, state_files):
+        code, out, err = run_cli(capsys, ["check", "stationary", "--alpha", "1/2",
+                                          "--state", state_files["trace"],
+                                          "--trials", "10000001"])
+        assert code == 2
+        assert out == ""
+        assert "trials must be <=" in err
+
+
+def test_cli_import_leaves_numpy_unloaded(state_files):
+    # numpy loads with the first matrix-model or float positivity check
+    child = (
+        "import sys\n"
+        "import nctorus.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "code = nctorus.cli.main(['oracle', 'psd', '--alpha', '1/2', '--state', sys.argv[1],\n"
+        "                         '--order', '4'])\n"
+        "assert code == 0 and 'numpy' not in sys.modules\n"
+        "code = nctorus.cli.main(['oracle', 'psd', '--alpha', '1/2', '--mode', 'float',\n"
+        "                         '--state', sys.argv[1], '--words', '1', 'u[0]', 'u[0]*u[1]'])\n"
+        "assert code == 0 and 'numpy' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(nctorus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", child, state_files["prod"]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("moment matrix (order 4): positive semidefinite\n"
+                           "gram matrix (3 words): positive semidefinite\n")

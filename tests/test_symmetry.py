@@ -26,8 +26,12 @@ from nctorus import (
     isotropy,
     random_increasing_map,
 )
+from nctorus import states
+from nctorus.algebra import normal_form, word_degree
 from nctorus.symmetry import (
     MAX_EXHAUSTIVE_CASES,
+    MAX_TRIALS,
+    _check_budget,
     _series,
     iter_factor_words,
     random_factor_word,
@@ -298,3 +302,43 @@ def test_exhaustive_limit_between_budgets():
     assert _series(20, 5) <= MAX_EXHAUSTIVE_CASES < _series(20, 6)
     assert _series(2, 10**9) > MAX_EXHAUSTIVE_CASES
     assert _series(0, 10**9) == 1
+
+
+def test_normal_form_commutes_with_increasing_maps():
+    # the checkers normal-order a word once and then move its normal form
+    rng = random.Random(11)
+    maps = spreading_map_grammar()
+    maps += [Shift(k) for k in (-3, -2, 2, 3)]
+    maps += [random_increasing_map(-2, 2, rng) for _ in range(20)]
+    for factors in iter_factor_words(2, 2, 2):
+        twist, nf = normal_form(factors)
+        assert word_degree(nf) == sum(e for _, e in factors)
+        for h in maps:
+            mapped = normal_form([(h(i), e) for i, e in factors])
+            assert mapped == (twist, tuple((h(i), e) for i, e in nf)), (factors, h)
+
+
+def test_state_evaluated_once_per_normal_form(monkeypatch):
+    words = []
+    evaluate_word = states.evaluate_word
+
+    def counted(state, word, algebra):
+        words.append(word)
+        return evaluate_word(state, word, algebra)
+
+    monkeypatch.setattr(states, "evaluate_word", counted)
+    report = check_spreadable(soft_product(), BETA_HALF)
+    assert report.passed
+    assert (report.exhaustive_cases, report.random_trials) == (8421 * 57, 1000)
+    # the exhaustive pass meets 4,813 normal forms; a trial adds at most one
+    assert len(words) == len(set(words))
+    assert len(words) <= 4813 + 1000
+
+
+def test_trials_limit():
+    budget = dict(max_factors=3, max_index=2, max_exponent=2)
+    _check_budget(1, True, trials=MAX_TRIALS, **budget)
+    with pytest.raises(InputError, match=f"trials must be <= {MAX_TRIALS}"):
+        _check_budget(1, True, trials=MAX_TRIALS + 1, **budget)
+    with pytest.raises(InputError, match="trials must be <="):
+        check_stationary(TRACE, BETA_HALF, trials=10**12, exhaustive=False)
