@@ -160,13 +160,15 @@ def spreading_map_grammar(max_pivot: int = 2, max_compose: int = 2) -> list[Incr
 def iter_factor_words(max_factors: int, max_index: int,
                       max_exponent: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All factor sequences within the budget, the empty word included."""
+    yield ()
+    if max_factors == 0 or max_exponent == 0:  # no single factor is needed
+        return
     singles = [
         (i, e)
         for i in range(-max_index, max_index + 1)
         for e in range(-max_exponent, max_exponent + 1)
         if e != 0
     ]
-    yield ()
     layer: list[tuple[tuple[int, int], ...]] = [()]
     for _ in range(max_factors):
         nxt = []
@@ -286,11 +288,11 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
            mode, beta_value, **limits) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
-    act(action, window) gives a move on normal-form words with indices in
-    window: move(word) is (angle, mapped word), and alpha sends the word to
-    e(angle) times the mapped word.  Each word is normal-ordered once and
-    the actions move its normal form, which is sound because index maps
-    increase strictly (no new inversions) and gauge actions keep the degree.
+    act(action) gives a move on normal-form words: move(word) is (angle,
+    mapped word), and alpha sends the word to e(angle) times the mapped
+    word.  Each word is normal-ordered once and the actions move its normal
+    form, which is sound because index maps increase strictly (no new
+    inversions) and gauge actions keep the degree.
     Exhaustive pass: every factor word within the word budget against every
     action of actions(), a list of action_count actions.  Randomized pass:
     trial t draws a word and then draw(rng, word) from seed xor t.  Pairs
@@ -306,7 +308,6 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         f"words: <={max_factors} factors, |index|<={max_index}, "
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
-    window = range(-max_index, max_index + 1)
     values = {}
 
     def word_value(twist, word):
@@ -333,7 +334,7 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
 
     cases = 0
     if exhaustive:
-        moves = [(action, act(action, window)) for action in actions()]
+        moves = [(action, act(action)) for action in actions()]
         for factors in iter_factor_words(max_factors, max_index, max_exponent):
             twist, nf = normal_form(factors)
             base = word_value(twist, nf)
@@ -348,19 +349,33 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         action = draw(rng, factors)
         twist, nf = normal_form(factors)
         base = word_value(twist, nf)
-        after = image(twist, nf, base, act(action, window))
+        after = image(twist, nf, base, act(action))
         if not field.equal(after, base):
             return failed(cases, t + 1, factors, action, base, after)
     return CheckReport(name, describe_state(state), True, cases, trials, None, budget)
 
 
-def _index_map_move(h, window):
-    """h as a lookup table on the window, applied to each index of a word."""
-    table = {i: h(i) for i in window}
+class _ValueTable(dict):
+    """The values of an index map, each computed on first lookup."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        super().__init__()
+        self.h = h
+
+    def __missing__(self, i):
+        v = self[i] = self.h(i)
+        return v
+
+
+def _index_map_move(h):
+    """h applied to each index of a word, through a table of its values."""
+    table = _ValueTable(h)
     return lambda word: (0, tuple((table[i], e) for i, e in word))
 
 
-def _gauge_move(z, window):
+def _gauge_move(z):
     return lambda word: ((z * word_degree(word)) % 1, word)
 
 

@@ -487,6 +487,20 @@ class TestLimits:
         assert out == ""
         assert "trials must be <=" in err
 
+    @pytest.mark.parametrize("check, options", [
+        ("stationary", ["--no-exhaustive", "--trials", "5"]),
+        ("spreadable", ["--max-factors", "0"]),
+        ("gauge", ["--max-exponent", "0"]),
+    ])
+    def test_huge_max_index_answers(self, capsys, state_files, check, options):
+        # maps touch only the indices a word uses; no list of singles is built
+        # when the budget admits the empty word alone
+        code, out, err = run_cli(capsys, ["check", check, "--alpha", "1/2",
+                                          "--state", state_files["trace"],
+                                          "--max-index", str(10**9)] + options)
+        assert (code, err) == (0, "")
+        assert "result: PASS" in out
+
 
 def test_cli_import_leaves_numpy_unloaded(state_files):
     # numpy loads with the first matrix-model or float positivity check

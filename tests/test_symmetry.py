@@ -32,6 +32,7 @@ from nctorus.symmetry import (
     MAX_EXHAUSTIVE_CASES,
     MAX_TRIALS,
     _check_budget,
+    _index_map_move,
     _series,
     iter_factor_words,
     random_factor_word,
@@ -316,6 +317,19 @@ def test_normal_form_commutes_with_increasing_maps():
         for h in maps:
             mapped = normal_form([(h(i), e) for i, e in factors])
             assert mapped == (twist, tuple((h(i), e) for i, e in nf)), (factors, h)
+
+
+def test_index_map_move_evaluates_used_indices_once():
+    calls = []
+
+    def h(k):
+        calls.append(k)
+        return 2 * k
+
+    move = _index_map_move(h)
+    assert move(((-10**9, 1), (3, -2))) == (0, ((-2 * 10**9, 1), (6, -2)))
+    assert move(((3, 1), (10**9, 2))) == (0, ((6, 1), (2 * 10**9, 2)))
+    assert calls == [-10**9, 3, 10**9]
 
 
 def test_state_evaluated_once_per_normal_form(monkeypatch):
