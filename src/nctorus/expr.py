@@ -15,6 +15,7 @@ reduced phase) pair with words sorted, so parse(print(x)) == x.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,20 +191,28 @@ class _Parser:
             exponent = self.integer()
         return self.algebra.u(index, exponent)
 
+    def natural(self) -> int:
+        tok = self.expect("nat")
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(
+                f"integer literal of {len(tok.value)} digits is above the limit "
+                f"{sys.get_int_max_str_digits()}", tok.line, tok.column) from None
+
     def integer(self) -> int:
         sign = 1
         if self.peek().kind == "-":
             self.advance()
             sign = -1
-        tok = self.expect("nat")
-        return sign * int(tok.value)
+        return sign * self.natural()
 
     def rational(self) -> Fraction:
         num = self.integer()
         if self.peek().kind == "/":
             self.advance()
-            tok = self.expect("nat")
-            den = int(tok.value)
+            tok = self.peek()
+            den = self.natural()
             if den == 0:
                 raise ParseError("zero denominator", tok.line, tok.column)
             return Fraction(num, den)

@@ -10,11 +10,12 @@ pass is always reported together with its budget.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import TorusAlgebra, normal_form, word_degree
+from .algebra import TorusAlgebra, Word, normal_form, word_degree
 from .deformation import DeformationParameter, InputError, isotropy
 from .expr import format_word
 from .scalars import PhaseCoefficient
@@ -157,27 +158,49 @@ def spreading_map_grammar(max_pivot: int = 2, max_compose: int = 2) -> list[Incr
     return out
 
 
-def iter_factor_words(max_factors: int, max_index: int,
-                      max_exponent: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All factor sequences within the budget, the empty word included."""
-    yield ()
+def iter_normal_words(max_factors: int, max_index: int,
+                      max_exponent: int) -> Iterator[tuple[Word, int, Word]]:
+    """All factor sequences within the budget, the empty word included, each
+    as (factors, twist, nf) with normal_form(factors) == (twist, nf).
+
+    Words come layer by layer, each a shorter word followed by one factor
+    u_i^e, and each normal form is built from the shorter word's: u_i^e
+    moves left past the factors of higher index, which adds e times their
+    exponent sum to the inversions, and then merges into index i.  The
+    longest layer is yielded without being stored.
+    """
+    yield (), 0, ()
     if max_factors == 0 or max_exponent == 0:  # no single factor is needed
         return
-    singles = [
-        (i, e)
-        for i in range(-max_index, max_index + 1)
-        for e in range(-max_exponent, max_exponent + 1)
-        if e != 0
-    ]
-    layer: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(max_factors):
+    exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
+    singles = [(i, [((i, e), e) for e in exponents])
+               for i in range(-max_index, max_index + 1)]
+    layer = [((), 0, ())]
+    for depth in range(1, max_factors + 1):
         nxt = []
-        for w in layer:
-            for f in singles:
-                w2 = w + (f,)
-                yield w2
-                nxt.append(w2)
+        for word, twist, nf in layer:
+            for i, factors in singles:
+                k = bisect_left(nf, (i,))
+                if k < len(nf) and nf[k][0] == i:
+                    head, old, tail = nf[:k], nf[k][1], nf[k + 1:]
+                else:
+                    head, old, tail = nf[:k], 0, nf[k:]
+                above = sum(x for _, x in tail)
+                for f, e in factors:
+                    total = old + e
+                    entry = (word + (f,), twist - e * above,
+                             head + ((i, total),) + tail if total else head + tail)
+                    yield entry
+                    if depth < max_factors:
+                        nxt.append(entry)
         layer = nxt
+
+
+def iter_factor_words(max_factors: int, max_index: int,
+                      max_exponent: int) -> Iterator[Word]:
+    """All factor sequences within the budget, the empty word included."""
+    for factors, _, _ in iter_normal_words(max_factors, max_index, max_exponent):
+        yield factors
 
 
 def random_factor_word(rng: random.Random, max_factors: int, max_index: int,
@@ -277,10 +300,25 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
         )
 
 
-# Per-check memo of state values, keyed by normal-form word; past this many
-# entries values are computed afresh.  The CLI default budget meets about
-# 4,800 distinct normal forms.
+# Per-check memos of state values, keyed by normal-form word, and of the
+# exhaustive pass's verdicts, keyed by normal form; past this many entries
+# each is computed afresh.  The CLI default budget meets about 4,800 distinct
+# normal forms among the words and their images, 1,181 among the words.
 MAX_CACHED_VALUES = 2**16
+
+
+class _ValueTable(dict):
+    """The values of a function, each computed on first lookup."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        super().__init__()
+        self.h = h
+
+    def __missing__(self, i):
+        v = self[i] = self.h(i)
+        return v
 
 
 def _check(name, state, beta, actions_note, action_count, actions, draw, act, label, *,
@@ -294,10 +332,15 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     form, which is sound because index maps increase strictly (no new
     inversions) and gauge actions keep the degree.
     Exhaustive pass: every factor word within the word budget against every
-    action of actions(), a list of action_count actions.  Randomized pass:
-    trial t draws a word and then draw(rng, word) from seed xor t.  Pairs
-    that an action leaves unchanged count as cases but are not evaluated
-    again.
+    action of actions(), a list of action_count actions.  A word w is e(twist)
+    times its normal form nf, so the pass computes one verdict per normal form
+    (the first failing action, or none) and replays the words' order from
+    the verdicts.  In exact mode e(twist) is a unit, so phi(alpha(w)) =
+    phi(w) exactly when phi(alpha(nf)) = phi(nf) and the verdict is keyed by
+    nf alone; in float mode it is keyed by (twist, nf), so rounding sees the
+    same products as a case-by-case pass.  Randomized pass: trial t draws a
+    word and then draw(rng, word) from seed xor t.  Pairs that an action
+    leaves unchanged count as cases but are not evaluated again.
     """
     _check_budget(action_count, exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent, **limits)
@@ -309,6 +352,7 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
     values = {}
+    rotations = _ValueTable(lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
 
     def word_value(twist, word):
         v = values.get(word)
@@ -324,8 +368,15 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         angle, mapped = move(nf)
         after = base if mapped == nf else word_value(twist, mapped)
         if angle:
-            after = after * field.coefficient(PhaseCoefficient.unit_angle(angle))
+            after = after * rotations[angle]
         return after
+
+    def first_failure(twist, nf, moves):
+        base = word_value(twist, nf)
+        for k, (_, move) in enumerate(moves):
+            if not field.equal(image(twist, nf, base, move), base):
+                return k
+        return None
 
     def failed(cases, done, factors, action, before, after):
         cx = Counterexample(format_word(factors) or "1", label(action),
@@ -335,14 +386,22 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     cases = 0
     if exhaustive:
         moves = [(action, act(action)) for action in actions()]
-        for factors in iter_factor_words(max_factors, max_index, max_exponent):
-            twist, nf = normal_form(factors)
+        exact = mode == "exact"
+        verdicts = {}
+        for factors, twist, nf in iter_normal_words(max_factors, max_index, max_exponent):
+            key = nf if exact else (twist, nf)
+            k = verdicts.get(key, -1)  # -1: not seen yet
+            if k == -1:
+                k = first_failure(0 if exact else twist, nf, moves)
+                if len(verdicts) < MAX_CACHED_VALUES:
+                    verdicts[key] = k
+            if k is None:
+                cases += len(moves)
+                continue
+            action, move = moves[k]
             base = word_value(twist, nf)
-            for action, move in moves:
-                cases += 1
-                after = image(twist, nf, base, move)
-                if not field.equal(after, base):
-                    return failed(cases, 0, factors, action, base, after)
+            return failed(cases + k + 1, 0, factors, action, base,
+                          image(twist, nf, base, move))
     for t in range(trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)
@@ -355,20 +414,6 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     return CheckReport(name, describe_state(state), True, cases, trials, None, budget)
 
 
-class _ValueTable(dict):
-    """The values of an index map, each computed on first lookup."""
-
-    __slots__ = ("h",)
-
-    def __init__(self, h):
-        super().__init__()
-        self.h = h
-
-    def __missing__(self, i):
-        v = self[i] = self.h(i)
-        return v
-
-
 def _index_map_move(h):
     """h applied to each index of a word, through a table of its values."""
     table = _ValueTable(h)
@@ -376,7 +421,9 @@ def _index_map_move(h):
 
 
 def _gauge_move(z):
-    return lambda word: ((z * word_degree(word)) % 1, word)
+    """The angle z times the word's degree, through a table per degree."""
+    angles = _ValueTable(lambda degree: (z * degree) % 1)
+    return lambda word: (angles[word_degree(word)], word)
 
 
 def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
@@ -390,8 +437,18 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
     Exhaustive part: every factor word within the word budget against every
     composition of at most max_compose generator maps.  Randomized part:
     trials pairs of a random word and a random increasing table over its
-    support window; trial i draws from seed xor i.
+    support window; trial i draws from seed xor i.  A table costs one entry
+    per index of the window, so a random pass whose words can span more than
+    MAX_EXHAUSTIVE_CASES indices is refused.
     """
+    if (trials >= 1 and max_factors >= 2 and max_exponent >= 1
+            and 2 * max_index + 1 > MAX_EXHAUSTIVE_CASES):
+        raise InputError(
+            f"the random pass would draw tables over up to {2 * max_index + 1} "
+            f"indices, more than {MAX_EXHAUSTIVE_CASES}; lower max_index or "
+            "max_factors, or run no trials"
+        )
+
     def draw(rng, factors):
         support = [i for i, _ in factors]
         lo, hi = min(support, default=0), max(support, default=0)

@@ -8,9 +8,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import (
     IRRATIONAL,
+    InputError,
     PhaseCoefficient,
     QQi,
     TorusAlgebra,
@@ -487,6 +489,34 @@ class TestLimits:
         assert out == ""
         assert "trials must be <=" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter converts integers of any length")
+    @pytest.mark.parametrize("text", ["u[0]^{}", "u[{}]", "e({}/7)", "{}"],
+                             ids=["exponent", "index", "angle", "scalar"])
+    def test_oversized_literal_exit_code(self, capsys, text):
+        code, out, err = run_cli(capsys, ["normal-form", "--alpha", "1/2",
+                                          text.format("9" * 5000)])
+        assert code == 2
+        assert out == ""
+        assert "integer literal of 5000 digits is above the limit" in err
+
+    def test_random_pass_window_limit_exit_code(self, capsys, state_files):
+        code, out, err = run_cli(capsys, ["check", "spreadable", "--alpha", "1/2",
+                                          "--state", state_files["trace"],
+                                          "--no-exhaustive", "--trials", "20",
+                                          "--max-index", "5000001"])
+        assert code == 2
+        assert out == ""
+        assert "the random pass would draw tables" in err
+
+    def test_random_pass_window_below_limit_answers(self, capsys, state_files):
+        code, out, err = run_cli(capsys, ["check", "spreadable", "--alpha", "1/2",
+                                          "--state", state_files["trace"],
+                                          "--no-exhaustive", "--trials", "1",
+                                          "--max-index", "1000000"])
+        assert (code, err) == (0, "")
+        assert "result: PASS" in out
+
     @pytest.mark.parametrize("check, options", [
         ("stationary", ["--no-exhaustive", "--trials", "5"]),
         ("spreadable", ["--max-factors", "0"]),
@@ -523,3 +553,23 @@ def test_cli_import_leaves_numpy_unloaded(state_files):
     assert done.returncode == 0, done.stderr
     assert done.stdout == ("moment matrix (order 4): positive semidefinite\n"
                            "gram matrix (3 words): positive semidefinite\n")
+
+
+# short text over the expression alphabet: generators, punctuation, the
+# phase name e, a stray letter, digits and spaces
+EXPRESSION_TEXT = st.text(alphabet="u[]^()*+-/ei0123456789 ", max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSION_TEXT)
+def test_parse_returns_or_raises_input_error(text):
+    try:
+        parse(text, TorusAlgebra(canonicalize(1, 2)))
+    except InputError:  # ParseError included
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSION_TEXT)
+def test_normal_form_cli_exit_code_contract(text):
+    assert main(["normal-form", "--alpha", "1/2", text]) in (0, 2)

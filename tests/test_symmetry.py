@@ -1,5 +1,6 @@
 """Increasing maps and invariance checker tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from nctorus import (
     BlockProductState,
     Composite,
     InputError,
+    IRRATIONAL,
     MixtureState,
     MomentSequence,
     PartialShift,
@@ -17,17 +19,22 @@ from nctorus import (
     TableMap,
     TRACE,
     TorusAlgebra,
+    apply_gauge,
     apply_index_map,
     canonicalize,
     check_gauge_invariant,
     check_spreadable,
     check_stationary,
     compose,
+    evaluate,
     isotropy,
     random_increasing_map,
 )
-from nctorus import states
+from nctorus import states, symmetry
 from nctorus.algebra import normal_form, word_degree
+from nctorus.expr import format_word
+from nctorus.oracle import brute_normal_form
+from nctorus.scalars import PhaseCoefficient
 from nctorus.symmetry import (
     MAX_EXHAUSTIVE_CASES,
     MAX_TRIALS,
@@ -35,6 +42,7 @@ from nctorus.symmetry import (
     _index_map_move,
     _series,
     iter_factor_words,
+    iter_normal_words,
     random_factor_word,
     spreading_map_grammar,
 )
@@ -356,3 +364,122 @@ def test_trials_limit():
         _check_budget(1, True, trials=MAX_TRIALS + 1, **budget)
     with pytest.raises(InputError, match="trials must be <="):
         check_stationary(TRACE, BETA_HALF, trials=10**12, exhaustive=False)
+
+
+def reference_words(max_factors, max_index, max_exponent):
+    # shorter words first, each length in lexicographic order of its factors
+    singles = [(i, e) for i in range(-max_index, max_index + 1)
+               for e in range(-max_exponent, max_exponent + 1) if e != 0]
+    words = [()]
+    for length in range(1, max_factors + 1):
+        words += itertools.product(singles, repeat=length)
+    return words
+
+
+@pytest.mark.parametrize("budget", [(3, 2, 2), (4, 1, 2), (2, 3, 3), (1, 2, 0), (0, 2, 2)])
+def test_prefix_normal_forms_match_normal_form(budget):
+    entries = list(iter_normal_words(*budget))
+    assert [factors for factors, _, _ in entries] == reference_words(*budget)
+    assert list(iter_factor_words(*budget)) == reference_words(*budget)
+    cancelled = 0
+    for factors, twist, nf in entries:
+        assert (twist, nf) == normal_form(factors) == brute_normal_form(factors), factors
+        cancelled += len(nf) < len({i for i, _ in factors})
+    if budget[0] >= 2 and budget[2]:
+        assert cancelled  # words such as u_0 u_0^-1 lose an index
+
+
+def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
+    calls = []
+    index_map_move = symmetry._index_map_move
+
+    def counted(h):
+        move = index_map_move(h)
+
+        def counted_move(word):
+            calls.append(word)
+            return move(word)
+        return counted_move
+
+    monkeypatch.setattr(symmetry, "_index_map_move", counted)
+    report = check_spreadable(soft_product(), BETA_HALF, trials=0)
+    assert report.passed
+    assert report.exhaustive_cases == 8421 * 57
+    # 1,181 distinct normal forms among the 8,421 words, each moved by 57 maps
+    assert len(set(calls)) == 1181
+    assert len(calls) == 1181 * 57
+
+
+def test_gauge_check_builds_one_rotation_per_angle(monkeypatch):
+    angles = []
+    unit_angle = PhaseCoefficient.unit_angle.__func__
+
+    def counted(cls, q, r=1):
+        angles.append(q)
+        return unit_angle(cls, q, r)
+
+    monkeypatch.setattr(PhaseCoefficient, "unit_angle", classmethod(counted))
+    # irrational beta: the twists are symbolic units and not angles
+    report = check_gauge_invariant(TRACE, IRRATIONAL, trials=1000)
+    assert report.passed
+    assert report.exhaustive_cases == 8421 * 8
+    assert sorted(angles) == [F(k, 8) for k in range(1, 8)]
+
+
+def reference_pass(state, beta, actions, act_on, label):
+    """Case by case on elements: the first (word, action) whose value moves."""
+    algebra = TorusAlgebra(beta)
+    cases = 0
+    for factors in reference_words(2, 1, 2):
+        x = algebra.word(factors)
+        before = evaluate(state, x)
+        for action in actions:
+            cases += 1
+            after = evaluate(state, act_on(x, action))
+            if after != before:
+                return [f"exhaustive cases: {cases}", "result: FAIL",
+                        f"witness word: {format_word(factors) or '1'}",
+                        f"action: {label(action)}",
+                        f"value before: {before}", f"value after: {after}"]
+    return [f"exhaustive cases: {cases}", "result: PASS"]
+
+
+def block_mixture():
+    return BlockProductState(1, mixture_base())
+
+
+@pytest.mark.parametrize("make_state, beta", [
+    (soft_product, BETA_HALF), (block_mixture, BETA_HALF), (mixture_base, BETA_HALF),
+    (lambda: ProductState(MomentSequence({0: 1, 4: F(1, 2)})), canonicalize(3, 8)),
+    (lambda: TRACE, IRRATIONAL),
+])
+@pytest.mark.parametrize("checker", ["spreadable", "stationary", "gauge"])
+def test_verdicts_match_case_by_case_reference(make_state, beta, checker):
+    state = make_state()
+    words = dict(max_factors=2, max_index=1, max_exponent=2, trials=0)
+    if checker == "spreadable":
+        maps = spreading_map_grammar()
+        report = check_spreadable(state, beta, **words)
+        expected = reference_pass(state, beta, maps, apply_index_map, lambda h: h.describe())
+    elif checker == "stationary":
+        report = check_stationary(state, beta, **words)
+        expected = reference_pass(state, beta, [Shift(1)], apply_index_map,
+                                  lambda h: "tau^1")
+    else:
+        n = isotropy(beta).generator or 8
+        report = check_gauge_invariant(state, beta, **words)
+        expected = reference_pass(state, beta, [F(j, n) for j in range(n)], apply_gauge,
+                                  lambda z: f"gauge angle {z}")
+    lines = report.lines()
+    assert lines[3:] == [expected[0], "random trials: 0"] + expected[1:]
+
+
+def test_random_pass_window_limit():
+    window = dict(trials=1, max_factors=2, max_exponent=1, exhaustive=False)
+    with pytest.raises(InputError, match="the random pass would draw tables"):
+        check_spreadable(TRACE, BETA_HALF, max_index=MAX_EXHAUSTIVE_CASES // 2, **window)
+    # one factor, no trial or no nonzero exponent: no window is drawn
+    for change in (dict(max_factors=1), dict(trials=0), dict(max_exponent=0)):
+        report = check_spreadable(TRACE, BETA_HALF, max_index=MAX_EXHAUSTIVE_CASES,
+                                  **dict(window, **change))
+        assert report.passed
