@@ -127,8 +127,9 @@ def _cmd_n0(args) -> int:
 def _cmd_normal_form(args) -> int:
     algebra = TorusAlgebra(parse_beta(args.alpha))
     x = parse(args.expr, algebra)
+    text = format_element(x)
     print(f"input: {args.expr}")
-    print(f"normal form: {format_element(x)}")
+    print(f"normal form: {text}")
     return 0
 
 
@@ -143,17 +144,22 @@ def _cmd_eval(args) -> int:
     beta, state, exact = _load(args)
     algebra = TorusAlgebra(beta)
     x = parse(args.expr, algebra)
-    if exact:
-        value = evaluate(state, x)
-        print(f"exact: {value}")
-        try:
-            print(f"float: {format_complex(value.to_complex())}")
-        except ValueError:
-            print("float: symbolic (irrational beta)")
-    else:
-        value = evaluate_float(state, x)
-        print(f"float: {format_complex(value)}")
+    _print_value("exact", evaluate(state, x) if exact else evaluate_float(state, x), exact)
     return 0
+
+
+def _print_value(label: str, value, exact: bool) -> None:
+    """An exact value and then its float, or a float-mode value alone."""
+    if not exact:
+        print(f"float: {format_complex(value)}")
+        return
+    text = str(value)
+    try:
+        number = format_complex(value.to_complex())
+    except ValueError:
+        number = "symbolic (irrational beta)"
+    print(f"{label}: {text}")
+    print(f"float: {number}")
 
 
 def _cmd_check(args) -> int:
@@ -197,10 +203,9 @@ def _cmd_cesaro(args) -> int:
         gap_text = f"{gap_abs:.12g}"
     except ValueError:
         gap_text = f"symbolic: {gap}"
-    print(f"phi_{args.half_width}: {phi_n}")
-    print(f"phi: {phi}")
-    print(f"gap: {gap_text}")
-    print(f"bound 4s/(2n+1): {bound} = {float(bound):.12g}")
+    lines = [f"phi_{args.half_width}: {phi_n}", f"phi: {phi}", f"gap: {gap_text}",
+             f"bound 4s/(2n+1): {bound} = {float(bound):.12g}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -209,16 +214,8 @@ def _cmd_cluster(args) -> int:
     algebra = TorusAlgebra(beta)
     x = parse(args.x, algebra)
     y = parse(args.y, algebra)
-    if exact:
-        gap = clustering_gap(state, x, y, args.distance)
-        print(f"gap: {gap}")
-        try:
-            print(f"float: {format_complex(gap.to_complex())}")
-        except ValueError:
-            print("float: symbolic (irrational beta)")
-    else:
-        gap = clustering_gap_float(state, x, y, args.distance)
-        print(f"float: {format_complex(gap)}")
+    gap = clustering_gap if exact else clustering_gap_float
+    _print_value("gap", gap(state, x, y, args.distance), exact)
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .algebra import Element, TorusAlgebra
 from .deformation import MAX_LEVEL, InputError
@@ -231,34 +232,33 @@ def format_word(word) -> str:
     )
 
 
-def _format_term(word, angle: Fraction, power: int, weight: Fraction) -> str:
-    bits: list[str] = []
-    if angle:
-        bits.append(f"e({angle})")
-    if power:
-        bits.append(f"E({power})")
-    if word:
-        bits.append(format_word(word))
-    if weight != 1 or not bits:
-        bits.insert(0, str(weight))
-    return "*".join(bits)
+def format_terms(pairs) -> str:
+    """Grammar text of sum c*w over (word w, PhaseCoefficient c) pairs: terms
+    by word, symbolic power and exponent from the integer canonical forms, in
+    one signed join.  An integer longer than the interpreter prints is an
+    InputError."""
+    forms = [(word, coeff.canonical_form()) for word, coeff in pairs]
+    out: list[str] = []
+    try:
+        for word, form in forms:
+            text = f"*{format_word(word)}" if word else ""
+            for m, level, den, terms in form:
+                tail = f"*E({m}){text}" if m else text
+                weights = {n: str(Fraction(abs(n), den)) for n in {n for _, n in terms}}
+                for a, n in terms:
+                    g = gcd(a, level)
+                    rest = f"*e({a // g}/{level // g}){tail}" if a else tail
+                    out += (" - " if n < 0 else " + ", rest[1:] if n == den and rest else weights[n] + rest)
+    except ValueError:
+        raise InputError("printed integer above the limit of "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    out[:1] = ["-"] if out[:1] == [" - "] else []
+    return "".join(out) or "0"
 
 
 def format_element(x: Element) -> str:
     """Canonical text form: words sorted, phases reduced, grammar-parseable."""
-    parts: list[str] = []
-    for word, coeff in x.terms():
-        for angle, power, weight in coeff.canonical_terms():
-            parts.append(_format_term(word, angle, power, weight))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return format_terms(x.terms())
 
 
 def format_complex(z: complex, digits: int = 12) -> str:

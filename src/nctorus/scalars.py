@@ -260,87 +260,97 @@ def _gaussian_value(bucket: dict[Fraction, Fraction]) -> QQi | None:
     return QQi(re, im) if _vanishes(terms, level, factors) else None
 
 
-def _reduce_angles(bucket: dict[Fraction, Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """Canonical terms of sum r*e(q): a fixed point of power-basis reduction.
+def _half_turn(terms: dict[int, int], level: int) -> dict[int, int]:
+    """n*zeta**a = -n*zeta**(a + level/2) wherever a/level has a denominator
+    of 2 mod 4, that is where a has one factor 2 less than level."""
+    half = level & -level
+    if half == 1:
+        return terms
+    out: dict[int, int] = {}
+    for a, n in terms.items():
+        if a % half == half >> 1:
+            a, n = (a + level // 2) % level, -n
+        acc = out.get(a, 0) + n
+        if acc:
+            out[a] = acc
+        else:
+            out.pop(a, None)
+    return out
 
-    Each round rewrites e(q) = -e(q + 1/2) wherever q has a denominator of
-    2 mod 4, so that the level L of the angles is never twice an odd
-    number, and then reduces modulo Phi_L into the exponents below phi(L);
-    it stops when a round changes nothing.  The work is on integer
-    exponents at level L and integer numerators over one denominator, and
-    the residue walks only the exponents at or above phi(L) that occur.
+
+def _reduce_angles(bucket: dict[Fraction, Fraction]) -> tuple[int, int, list[tuple[int, int]]]:
+    """Integer canonical form (L, den, [(a, n)] by a) of sum r*e(q), which
+    is sum (n/den) * zeta_L**a.
+
+    A level descent: rewrite by _half_turn, divide out a factor that every
+    exponent shares with L, and reduce once modulo Phi_L into the exponents
+    below phi(L).  A residue whose exponents share a factor with L descends
+    again; any other, rewritten once more, is the canonical form, since the
+    residue of that rewrite is the residue itself.  Each descent lowers L.
     """
-    if not bucket:
-        return []
     den = lcm(*(r.denominator for r in bucket.values()))
     level = lcm(*(q.denominator for q in bucket))
-    residue = {q.numerator * (level // q.denominator): r.numerator * (den // r.denominator)
-               for q, r in bucket.items()}
-    terms = None
-    for _ in range(65):  # the first round only rewrites the input
-        # a/level has a denominator of 2 mod 4 when a has one factor 2 less than level
-        half = level & -level
-        nxt: dict[int, int] = {}
-        for a in sorted(residue):  # ascending, which keeps the final sort cheap
-            n = residue[a]
-            if half > 1 and a % half == half >> 1:
-                a, n = (a + level // 2) % level, -n
-            acc = nxt.get(a, 0) + n
-            if acc:
-                nxt[a] = acc
-            elif a in nxt:
-                del nxt[a]
-        if nxt == terms:
+    terms = _half_turn({q.numerator * (level // q.denominator): r.numerator * (den // r.denominator)
+                        for q, r in bucket.items()}, level)
+    residue = False
+    while terms:
+        step = gcd(level, *terms)
+        if step > 1:
+            level //= step
+            terms, residue = {a // step: n for a, n in terms.items()}, False
+        elif residue or level == 1:
             break
-        if not nxt:
-            return []
-        step = gcd(level, *nxt)  # down to the level of the new angles
-        level //= step
-        terms = {a // step: n for a, n in nxt.items()}
-        if level == 1:
-            break
-        residue = _power_basis(terms, level)
-    else:
-        raise AssertionError("cyclotomic reduction did not stabilize")
-    weights = {n: Fraction(n, den) for n in set(terms.values())}
-    return [(Fraction(a, level), weights[n]) for a, n in terms.items()]
+        else:
+            terms, residue = _half_turn(_power_basis(terms, level), level), True
+    return level, den, sorted(terms.items())
 
 
 def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
-    """Remainder of sum n * x**a modulo Phi_level, by sparse long division.
+    """Remainder of sum n * x**a modulo Phi_level, by sparse division from
+    the nearer end.
 
-    Walks the exponents at or above phi(level) from the top, over the
-    nonzero coefficients of Phi_level only.  Phi_level(x) is
-    Phi_rad(x**(level/rad)) for rad the squarefree kernel, so its nonzero
-    coefficients come from the smaller Phi_rad.
+    An exponent a at or above phi(level) that is nearer level than phi(level)
+    is read as x**(a - level) and walked upward from the lowest:
+    x**-1 = -sum_{j>=1} c_j x**(j-1) over the coefficients c_j of Phi_level,
+    with c_0 = 1, so x**(level-1) costs one pass.  The others are walked
+    downward from the top, as long division.  Both walks touch only the
+    nonzero coefficients of Phi_level = Phi_rad(x**(level/rad)), rad the
+    squarefree kernel of level.
     """
     factors = factorize(level)
     rad = deg = 1
     for p, k in factors:
         rad *= p
         deg *= p ** (k - 1) * (p - 1)
-    high = [-a for a in terms if a >= deg]
-    if not high:
+    if all(a < deg for a in terms):
         return terms
     stride = level // rad
-    tail = [(j * stride, c) for j, c in enumerate(cyclotomic_polynomial(rad)[:-1]) if c]
-    work = dict(terms)
-    heapify(high)
-    while high:
-        top = -heappop(high)
-        n = work.pop(top)
-        if not n:
-            continue
-        base = top - deg
-        for j, c in tail:
-            e = base + j
-            prev = work.get(e)
-            if prev is None:
-                work[e] = -n * c
-                if e >= deg:
-                    heappush(high, -e)
-            else:
-                work[e] = prev - n * c
+    coeffs = [(j * stride, c) for j, c in enumerate(cyclotomic_polynomial(rad)) if c]
+    work, down, up = dict(terms), [], []
+    for a in terms:
+        if a >= deg and level - a <= a - deg:
+            work[a - level] = work.pop(a)
+            up.append(a - level)
+        elif a >= deg:
+            down.append(-a)
+    # x**t = x**(t - deg) * (x**deg - Phi) and x**b = x**(b + 1) * x**-1
+    for heap, sign, shift, tail in ((down, -1, -deg, coeffs[:-1]), (up, 1, 0, coeffs[1:])):
+        heapify(heap)
+        while heap:
+            top = sign * heappop(heap)
+            n = work.pop(top)
+            if not n:
+                continue
+            base = top + shift
+            for j, c in tail:
+                e = base + j
+                prev = work.get(e)
+                if prev is None:
+                    work[e] = -n * c
+                    if not 0 <= e < deg:
+                        heappush(heap, sign * e)
+                else:
+                    work[e] = prev - n * c
     return {a: n for a, n in work.items() if n}
 
 
@@ -507,21 +517,24 @@ class PhaseCoefficient:
 
     __hash__ = None
 
+    def canonical_form(self) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
+        """(m, L, den, [(a, n)] by a) per symbolic bucket by m: the bucket of
+        E(m) is sum (n/den) * e(a/L) in its cyclotomic power basis."""
+        buckets = _buckets(self._terms)
+        return [(m, *_reduce_angles(buckets[m])) for m in sorted(buckets)]
+
     def reduce(self) -> PhaseCoefficient:
         """Canonical form: each symbolic bucket in its cyclotomic power basis."""
         out: dict[tuple[Fraction, int], Fraction] = {}
-        for m, bucket in _buckets(self._terms).items():
-            for q, r in _reduce_angles(bucket):
-                out[(q, m)] = r
+        for m, level, den, terms in self.canonical_form():
+            weights = {n: Fraction(n, den) for n in {n for _, n in terms}}
+            for a, n in terms:
+                out[(Fraction(a, level), m)] = weights[n]
         return PhaseCoefficient._make(out)
 
     def canonical_terms(self) -> list[tuple[Fraction, int, Fraction]]:
         """Reduced (angle, symbolic power, rational weight) triples, sorted."""
-        red = self.reduce()
-        return sorted(
-            ((q, m, r) for (q, m), r in red._terms.items()),
-            key=lambda t: (t[1], t[0]),
-        )
+        return [(q, m, r) for (q, m), r in self.reduce()._terms.items()]
 
     def to_qqi(self) -> QQi | None:
         """The value as a Gaussian rational, or None when it is not one."""
@@ -552,26 +565,9 @@ class PhaseCoefficient:
         return total
 
     def __str__(self) -> str:
-        triples = self.canonical_terms()
-        if not triples:
-            return "0"
-        parts = []
-        for q, m, r in triples:
-            bits = []
-            if q:
-                bits.append(f"e({q})")
-            if m:
-                bits.append(f"E({m})")
-            if r != 1 or not bits:
-                bits.insert(0, str(r))
-            parts.append("*".join(bits))
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        from .expr import format_terms
+
+        return format_terms([((), self)])
 
     def __repr__(self) -> str:
         return f"PhaseCoefficient({self._terms!r})"

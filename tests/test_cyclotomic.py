@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus import PhaseCoefficient, QQi, cyclotomic_polynomial, factorize, scalars
+from nctorus import (PhaseCoefficient, QQi, TorusAlgebra, canonicalize, cyclotomic_polynomial,
+                     factorize, format_element, parse, scalars)
 from nctorus.deformation import MAX_LEVEL, InputError
+from nctorus.expr import format_word
 from nctorus.oracle import brute_phase_is_zero, brute_phase_reduce, brute_phase_to_qqi
 
 F = Fraction
@@ -102,3 +104,63 @@ def test_cyclotomic_polynomial_level_limit():
     with pytest.raises(InputError, match="exceeds the limit"):
         cyclotomic_polynomial(MAX_LEVEL + 1)
     assert MAX_LEVEL >= 1000003
+
+
+@pytest.mark.parametrize("sum_", [
+    {F(1, 2): 1, F(3, 10): F(1, 3), F(9, 10): F(-2, 3), F(3, 4): F(-1, 2),
+     F(1, 4): F(-1, 2), F(0): F(-2, 3)},
+    {F(113, 180): F(1, 2), F(0): F(-3, 2), F(2, 3): F(-5, 3), F(1, 6): F(1, 3)},
+])
+def test_residue_whose_rewrite_leaves_the_power_basis(sum_):
+    # a fixed-point loop reduces these twice: the rewrite after the first
+    # residue moves exponents to phi(L) or above, and the second residue
+    # only undoes it
+    assert_matches_reference(PhaseCoefficient([((q, 0), r) for q, r in sum_.items()]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_near_top_exponent_reduces_upward(k):
+    pc = PhaseCoefficient({(F(1155 - k, 1155), 0): 1, (F(0), 0): 2})
+    ref = brute_phase_reduce(pc)  # reduce and print only: the other dense tests run at 4620
+    assert pc.reduce()._terms == ref._terms
+    assert str(pc) == str(ref)
+
+
+def test_inverse_root_is_one_pass_over_phi():
+    # x**-1 = -sum_{j>=1} c_j x**(j-1) for Phi_L = sum c_j x**j; the dense
+    # reference is too slow at L = 15015
+    level = 15015
+    coeffs = cyclotomic_polynomial(level)
+    inverse = {(F(j - 1, level), 0): F(-c) for j, c in enumerate(coeffs) if j and c}
+    pc = PhaseCoefficient({(F(level - 1, level), 0): 1})
+    assert pc.reduce()._terms == inverse
+    assert str(pc) == str(PhaseCoefficient._make(inverse))
+
+
+def reference_format(x):
+    """format_element rebuilt from the canonical_terms() Fractions."""
+    parts = []
+    for word, coeff in x.terms():
+        for angle, power, weight in coeff.canonical_terms():
+            bits = [f"e({angle})"] if angle else []
+            bits += [f"E({power})"] if power else []
+            bits += [format_word(word)] if word else []
+            if weight != 1 or not bits:
+                bits.insert(0, str(weight))
+            parts.append("*".join(bits))
+    text = parts[0] if parts else "0"
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
+@pytest.mark.parametrize("level", [257, 263, 1009, 2 * 131, 2 * 577, 17 ** 2, 3 ** 6,
+                                   2 ** 10, 1155])
+def test_printer_matches_reference_on_cyclo_products(level):
+    # x*y with x = 2*u[0]*u[1] - 3/4*u[1]*u[0] + u[3]^2: the twist e(-1/L)
+    # is the top power, which the printer expands into the power basis
+    algebra = TorusAlgebra(canonicalize(1, level))
+    x = parse("2*u[0]*u[1] - 3/4*u[1]*u[0] + u[3]^2", algebra)
+    for y in ("u[4]*u[5]^-1 + 5/3*u[5]^-1*u[4]", "-u[0]^-1*u[1]^-1 + 1/2*u[1]^-1*u[0]^-1"):
+        p = x * parse(y, algebra)
+        assert format_element(p) == reference_format(p)

@@ -573,3 +573,50 @@ def test_parse_returns_or_raises_input_error(text):
 @given(EXPRESSION_TEXT)
 def test_normal_form_cli_exit_code_contract(text):
     assert main(["normal-form", "--alpha", "1/2", text]) in (0, 2)
+
+
+NINES = "9" * 3000  # products of two such literals have 6000 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "--alpha", "irrational", f"u[1]^{NINES}*u[0]^{NINES}"],  # E(m)
+    ["normal-form", "--alpha", "1/2", f"{NINES}*{NINES}*u[0]"],  # a weight
+    ["eval", "--alpha", "irrational", "--state", "trace",
+     f"u[1]^{NINES}*u[0]^{NINES}*u[1]^-{NINES}*u[0]^-{NINES}"],  # E(m) in a value
+])
+def test_oversized_printed_integer_exits_2_before_any_output(capsys, state_files, argv):
+    argv = [state_files[a] if a in state_files else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "printed integer above the limit" in err
+
+
+@st.composite
+def printable_elements(draw, algebra):
+    """At most 4 terms of at most 3 factors; each coefficient a rational
+    times e(p/q), times E(m) when beta is irrational.  One q <= 60 serves
+    the whole element, so coefficients that merge on one word stay at the
+    level lcm(q, denominator of beta) or below, where reduction is quick."""
+    x = algebra.zero()
+    q = draw(st.integers(1, 60))
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = PhaseCoefficient.unit_angle(F(draw(st.integers(0, q - 1)), q),
+                                            draw(st.fractions(-4, 4, max_denominator=6)))
+        if not algebra.beta.is_rational:
+            coeff = coeff * algebra.twist_phase(draw(st.integers(-5, 5)))
+        factors = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), max_size=3))
+        x = x + algebra.word(factors, coeff)
+    return x
+
+
+@pytest.mark.parametrize("beta", [canonicalize(1, 2), canonicalize(1, 4), canonicalize(3, 8),
+                                  canonicalize(1, 6), IRRATIONAL], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_print_parse_round_trip(beta, data):
+    algebra = TorusAlgebra(beta)
+    x = data.draw(printable_elements(algebra))
+    text = format_element(x)
+    y = parse(text, algebra)
+    assert y == x
+    assert format_element(y) == text
