@@ -252,8 +252,10 @@ def format_terms(pairs) -> str:
     except ValueError:
         raise InputError("printed integer above the limit of "
                          f"{sys.get_int_max_str_digits()} digits") from None
-    out[:1] = ["-"] if out[:1] == [" - "] else []
-    return "".join(out) or "0"
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def format_element(x: Element) -> str:
