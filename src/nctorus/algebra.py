@@ -10,6 +10,7 @@ so equality is per-word coefficient equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -20,60 +21,41 @@ Word = tuple[tuple[int, int], ...]
 EMPTY_WORD: Word = ()
 
 
-def _sort_count(seq: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
-    # stable merge sort by index, counting exponent-weighted inversions
-    if len(seq) <= 1:
-        return list(seq), 0
-    mid = len(seq) // 2
-    left, linv = _sort_count(seq[:mid])
-    right, rinv = _sort_count(seq[mid:])
-    suffix = [0] * (len(left) + 1)
-    for i in range(len(left) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + left[i][1]
-    merged: list[tuple[int, int]] = []
-    inv = linv + rinv
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        if left[i][0] <= right[j][0]:
-            merged.append(left[i])
-            i += 1
-        else:
-            inv += right[j][1] * suffix[i]
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+def split_at(word: Word, index: int) -> tuple[Word, int, Word, int]:
+    """Where u_index goes in a normal-form word.
 
-
-def _merge_runs(sorted_seq: list[tuple[int, int]]) -> Word:
-    out: list[tuple[int, int]] = []
-    pos = 0
-    n = len(sorted_seq)
-    while pos < n:
-        idx = sorted_seq[pos][0]
-        total = 0
-        while pos < n and sorted_seq[pos][0] == idx:
-            total += sorted_seq[pos][1]
-            pos += 1
-        if total:
-            out.append((idx, total))
-    return tuple(out)
-
-
-def normal_form(factors: Iterable[tuple[int, int]]) -> tuple[int, Word]:
-    """Normal-order a factor sequence.
-
-    Returns (twist, word) such that the input product equals
-    e^(2*pi*i*beta*twist) times the ascending-index product word, for every
-    deformation parameter.  twist is minus the exponent-weighted inversion
-    count of the sequence; merging equal indices costs nothing and factors
-    cancelling to exponent zero are elided.
+    Returns (head, exponent at index, tail, exponent sum of tail): head holds
+    the lower indices and tail the higher ones, so a factor u_index^e
+    appended to the word moves left past tail, costing -e times its exponent
+    sum on the twist, and merges into index.
     """
-    seq = [(i, e) for i, e in factors if e != 0]
-    ordered, inversions = _sort_count(seq)
-    return -inversions, _merge_runs(ordered)
+    k = bisect_left(word, (index,))
+    if k < len(word) and word[k][0] == index:
+        head, old, tail = word[:k], word[k][1], word[k + 1:]
+    else:
+        head, old, tail = word[:k], 0, word[k:]
+    return head, old, tail, word_degree(tail)
+
+
+def normal_form(factors: Iterable[tuple[int, int]],
+                word: Word = ()) -> tuple[int, Word]:
+    """Normal-order a factor sequence appended to a normal-form word.
+
+    Returns (twist, nf) such that word times the input product equals
+    e^(2*pi*i*beta*twist) times the ascending-index product nf, for every
+    deformation parameter.  Each factor is appended in turn (split_at):
+    merging equal indices costs nothing and indices whose exponents cancel
+    to zero are elided.  Appending is linear in the word, so a sequence of n
+    factors costs O(n^2) in the worst case.
+    """
+    twist = 0
+    for i, e in factors:
+        if e:
+            head, old, tail, above = split_at(word, i)
+            twist -= e * above
+            total = old + e
+            word = head + ((i, total),) + tail if total else head + tail
+    return twist, word
 
 
 def word_degree(word: Word) -> int:
@@ -131,22 +113,22 @@ class TorusAlgebra:
 
     def word(self, factors: Iterable[tuple[int, int]], coefficient=1) -> Element:
         """Element for one monomial, normal-ordered with its twist folded in."""
-        twist, nf = normal_form(factors)
-        coeff = _as_phase(coefficient)
-        if twist:
-            coeff = coeff * self.twist_phase(twist)
-        return Element(self, {nf: coeff})
+        return self.from_terms([(factors, coefficient)])
 
     def from_terms(self, terms: Iterable[tuple[Iterable[tuple[int, int]], object]]) -> Element:
         acc: dict[Word, PhaseCoefficient] = {}
         for factors, c in terms:
-            twist, nf = normal_form(factors)
-            coeff = _as_phase(c)
-            if twist:
-                coeff = coeff * self.twist_phase(twist)
-            prev = acc.get(nf)
-            acc[nf] = coeff if prev is None else prev + coeff
+            self._accumulate(acc, _as_phase(c), factors)
         return Element(self, acc)
+
+    def _accumulate(self, acc: dict[Word, PhaseCoefficient], coeff: PhaseCoefficient,
+                    factors: Iterable[tuple[int, int]], word: Word = ()) -> None:
+        """Add coeff * word * factors to acc, normal-ordered, twist folded in."""
+        twist, nf = normal_form(factors, word)
+        if twist:
+            coeff = coeff * self.twist_phase(twist)
+        prev = acc.get(nf)
+        acc[nf] = coeff if prev is None else prev + coeff
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusAlgebra) and other.beta == self.beta
@@ -225,16 +207,11 @@ class Element:
                 self.algebra, {w: c * coeff for w, c in self._terms.items()}
             )
         self._check_same_algebra(other)
-        twist_phase = self.algebra.twist_phase
+        accumulate = self.algebra._accumulate
         out: dict[Word, PhaseCoefficient] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                twist, nf = normal_form(w1 + w2)
-                c = c1 * c2
-                if twist:
-                    c = c * twist_phase(twist)
-                prev = out.get(nf)
-                out[nf] = c if prev is None else prev + c
+                accumulate(out, c1 * c2, w2, w1)
         return Element(self.algebra, out)
 
     def __rmul__(self, other) -> Element:
@@ -251,15 +228,9 @@ class Element:
 
     def adjoint(self) -> Element:
         """Conjugate-linear involution: reverses words and negates exponents."""
-        twist_phase = self.algebra.twist_phase
         out: dict[Word, PhaseCoefficient] = {}
         for w, c in self._terms.items():
-            rev = tuple((i, -e) for i, e in reversed(w))
-            twist, nf = normal_form(rev)
-            cc = c.conjugate()
-            if twist:
-                cc = cc * twist_phase(twist)
-            out[nf] = cc
+            self.algebra._accumulate(out, c.conjugate(), ((i, -e) for i, e in reversed(w)))
         return Element(self.algebra, out, canonical=True)
 
     def degree(self) -> int | None:

@@ -270,10 +270,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError, OverflowError) as exc:
+        # OverflowError: a value too large for a float, such as a huge literal
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

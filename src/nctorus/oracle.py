@@ -40,8 +40,8 @@ def brute_normal_form(factors) -> tuple[int, Word]:
 
     Expands every power into unit factors, bubbles them into ascending index
     order (each swap of units with exponents e1, e2 costs -e1*e2 on the twist
-    exponent), then merges.  Quadratic; exists to check the merge-sort
-    engine.
+    exponent), then merges.  Quadratic; exists to check
+    algebra.normal_form.
     """
     units: list[tuple[int, int]] = []
     for i, e in factors:
@@ -373,7 +373,8 @@ def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
                 "canonical trace"
             )
     value = 1.0 + 0j
-    for slot in range(1, m + 1):
+    # a slot above every index holds the identity and contributes tr(I)/D = 1
+    for slot in range(1, max(totals, default=0) + 1):
         prod = np.eye(d, dtype=complex)
         for i, e in factors:
             if e == 0:
@@ -502,13 +503,16 @@ def hermitian_psd_float(matrix: np.ndarray, tolerance: float = -1e-10) -> PsdVer
     return PsdVerdict(True, min_eigenvalue=least)
 
 
+MAX_MOMENT_ORDER = 64  # exact LDL* fractions grow with the order: about 0.8 s at 64
+
+
 def toeplitz_psd(moments: MomentSequence, order: int) -> PsdVerdict:
     """Positivity of the (order+1)-square Hermitian moment matrix [c_{i-j}].
 
     Exact LDL* for exact moments, floating eigensolve otherwise.
     """
-    if order < 1:
-        raise InputError("order must be >= 1")
+    if not 1 <= order <= MAX_MOMENT_ORDER:
+        raise InputError(f"order must lie in 1..{MAX_MOMENT_ORDER}")
     size = order + 1
     if moments.exact:
         matrix = [

@@ -531,28 +531,16 @@ def _json_rows(obj: dict, key: str, width: int, shape: str) -> list:
     return rows
 
 
-def _check_depth(obj: dict) -> None:
-    """Bound how deeply a description nests states, one level at a time."""
-    level = [obj]
-    for _ in range(MAX_STATE_DEPTH):
-        children = []
-        for o in level:
-            kind = o.get("kind")
-            if kind in ("block", "cesaro") and isinstance(o.get("base"), dict):
-                children.append(o["base"])
-            elif kind == "mixture":
-                rows = _json_rows(o, "parts", 2, "mixture part is [weight, state]")
-                children += [p for _, p in rows if isinstance(p, dict)]
-        level = children
-    if level:
-        raise InputError(f"state descriptions nest at most {MAX_STATE_DEPTH} deep")
-
-
 def state_from_json(obj, *, exact: bool = True) -> StateSpec:
     """Build a state from its structured description."""
+    return _state_from_json(obj, exact, 0)
+
+
+def _state_from_json(obj, exact: bool, depth: int) -> StateSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("a state description is an object with a 'kind'")
-    _check_depth(obj)
+    if depth == MAX_STATE_DEPTH:
+        raise InputError(f"state descriptions nest at most {MAX_STATE_DEPTH} deep")
     kind = obj["kind"]
     if kind == "trace":
         return TRACE
@@ -566,10 +554,10 @@ def state_from_json(obj, *, exact: bool = True) -> StateSpec:
     if kind in ("block", "cesaro"):
         cls = BlockProductState if kind == "block" else CesaroState
         n = _json_int(obj.get("n"), f"{kind} state needs an integer 'n'")
-        return cls(n, state_from_json(obj.get("base"), exact=exact))
+        return cls(n, _state_from_json(obj.get("base"), exact, depth + 1))
     if kind == "mixture":
         return MixtureState(tuple(
-            (_rational_from_json(w), state_from_json(p, exact=exact))
+            (_rational_from_json(w), _state_from_json(p, exact, depth + 1))
             for w, p in _json_rows(obj, "parts", 2, "mixture part is [weight, state]")
         ))
     raise InputError(f"unknown state kind {kind!r}")

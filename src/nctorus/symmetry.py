@@ -10,12 +10,11 @@ pass is always reported together with its budget.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import TorusAlgebra, Word, normal_form, word_degree
+from .algebra import TorusAlgebra, Word, normal_form, split_at, word_degree
 from .deformation import DeformationParameter, InputError, isotropy
 from .expr import format_word
 from .scalars import PhaseCoefficient
@@ -164,10 +163,10 @@ def iter_normal_words(max_factors: int, max_index: int,
     as (factors, twist, nf) with normal_form(factors) == (twist, nf).
 
     Words come layer by layer, each a shorter word followed by one factor
-    u_i^e, and each normal form is built from the shorter word's: u_i^e
-    moves left past the factors of higher index, which adds e times their
-    exponent sum to the inversions, and then merges into index i.  The
-    longest layer is yielded without being stored.
+    u_i^e, and each normal form is the shorter word's with u_i^e appended as
+    in normal_form; the split at index i is made once and shared by all of
+    that index's exponents.  The longest layer is yielded without being
+    stored.
     """
     yield (), 0, ()
     if max_factors == 0 or max_exponent == 0:  # no single factor is needed
@@ -180,12 +179,7 @@ def iter_normal_words(max_factors: int, max_index: int,
         nxt = []
         for word, twist, nf in layer:
             for i, factors in singles:
-                k = bisect_left(nf, (i,))
-                if k < len(nf) and nf[k][0] == i:
-                    head, old, tail = nf[:k], nf[k][1], nf[k + 1:]
-                else:
-                    head, old, tail = nf[:k], 0, nf[k:]
-                above = sum(x for _, x in tail)
+                head, old, tail, above = split_at(nf, i)
                 for f, e in factors:
                     total = old + e
                     entry = (word + (f,), twist - e * above,

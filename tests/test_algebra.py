@@ -1,5 +1,6 @@
 """Normal form and element algebra tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from nctorus import (
     divisible_exponent_part,
     gauge_orbit_numeric,
     normal_form,
+    parse,
     translate,
 )
 
@@ -71,6 +73,26 @@ class TestNormalForm:
     @settings(max_examples=150)
     def test_matches_adjacent_transposition_oracle(self, factors):
         assert normal_form(factors) == brute_normal_form(factors)
+
+    @given(factor_lists, factor_lists)
+    @settings(max_examples=150)
+    def test_appending_to_a_normal_form_word(self, prefix, factors):
+        _, word = normal_form(prefix)
+        assert normal_form(factors, word) == brute_normal_form(list(word) + factors)
+
+    def test_long_random_words(self):
+        rng = random.Random(8)
+        for _ in range(5):
+            factors = [(rng.randint(-20, 20), rng.choice((-3, -2, -1, 1, 2, 3)))
+                       for _ in range(200)]
+            assert normal_form(factors) == brute_normal_form(factors)
+
+    def test_descending_parse(self):
+        # every pair of the 300 generators is one inversion
+        a = TorusAlgebra(IRRATIONAL)
+        x = parse("*".join(f"u[{i}]" for i in range(300, 0, -1)), a)
+        ascending = a.word([(i, 1) for i in range(1, 301)])
+        assert x == ascending * a.twist_phase(-300 * 299 // 2)
 
     @given(factor_lists)
     @settings(max_examples=60)

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nctorus import (
     IRRATIONAL,
@@ -589,6 +589,89 @@ def test_oversized_printed_integer_exits_2_before_any_output(capsys, state_files
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert "printed integer above the limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--alpha", "1/2", "--state", "@trace", "9" * 400],  # float of the value
+    ["oracle", "trace", "--alpha", "1/2", f"{NINES}*{NINES}"],  # matrix-model sum
+    ["cesaro", "--alpha", "1/2", "--state", "@trace", "--n", "1",
+     f"u[{'9' * 400}]"],  # float of the bound
+])
+def test_float_overflow_exits_2_before_any_output(capsys, state_files, argv):
+    argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "too large for a float" in err
+
+
+def test_oracle_trace_ignores_slots_above_the_word(capsys):
+    word = "u[1]*u[2]^2*u[1]^-1*u[2]^-1 + 1/3*u[2]"
+    few = run_cli(capsys, ["oracle", "trace", "--alpha", "1/5", "--gens", "2", word])
+    many = run_cli(capsys, ["oracle", "trace", "--alpha", "1/5", "--gens", "1000000", word])
+    assert many == few
+    assert few[0] == 0
+
+
+def test_oracle_psd_order_is_bounded(capsys, state_files):
+    from nctorus.oracle import MAX_MOMENT_ORDER
+
+    argv = ["oracle", "psd", "--alpha", "1/2", "--state", state_files["prod"], "--order"]
+    code, out, _ = run_cli(capsys, argv + [str(MAX_MOMENT_ORDER)])
+    assert code == 0
+    assert out == f"moment matrix (order {MAX_MOMENT_ORDER}): positive semidefinite\n"
+    code, out, err = run_cli(capsys, argv + [str(MAX_MOMENT_ORDER + 1)])
+    assert (code, out) == (2, "")
+    assert f"order must lie in 1..{MAX_MOMENT_ORDER}" in err
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-2, 2), st.just(10**400), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["1/4", "-1/3", "x", "1/0", "9" * 400]),
+)
+MOMENT_ROWS = st.lists(st.tuples(st.sampled_from([2, 4]), st.sampled_from(["1/4", 0]),
+                                 st.sampled_from(["-1/5", 0])).map(list), max_size=3)
+JUNK_ROWS = st.lists(st.lists(JSON_VALUES, max_size=4), max_size=3)
+JUNK_STATES = st.sampled_from([{"kind": "nope"}, {}, [], 5, "trace", {"kind": "mixture"}])
+
+
+@st.composite
+def state_descriptions(draw, depth=None, clean=None):
+    """A state description nesting depth levels deep (at most 20) from every
+    kind.  A clean one has well-formed rows and values and a block product
+    only at the top; the others also draw rows of any width, values of any
+    JSON type and junk states."""
+    top = depth is None
+    if top:
+        depth, clean = draw(st.integers(0, 20)), draw(st.booleans())
+    if depth == 0:
+        product = st.fixed_dictionaries(
+            {"kind": st.just("product"), "moments": MOMENT_ROWS if clean else JUNK_ROWS})
+        return draw(st.one_of(st.just({"kind": "trace"}), product,
+                              *([] if clean else [JUNK_STATES])))
+    kind = draw(st.sampled_from(["cesaro", "mixture"] + ["block"] * (top or not clean)))
+    if kind != "mixture":
+        n = draw(st.one_of(st.integers(0, 3), st.just(10**400),
+                           *([] if clean else [JSON_VALUES])))
+        return {"kind": kind, "n": n, "base": draw(state_descriptions(depth - 1, clean))}
+    count = draw(st.integers(1, 3))
+    weights = st.just(f"1/{count}") if clean else JSON_VALUES
+    return {"kind": "mixture", "parts": [
+        [draw(weights), draw(state_descriptions(depth - 1 if k == 0 else 0, clean))]
+        for k in range(count)
+    ]}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=state_descriptions(), mode=st.sampled_from(["exact", "float"]),
+       expr=st.sampled_from(["u[0]^2", "u[0] + 1/2"]))
+def test_state_file_eval_exit_code_contract(capsys, tmp_path, obj, mode, expr):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    code = main(["eval", "--alpha", "1/2", "--state", str(path), "--mode", mode, expr])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 @st.composite
