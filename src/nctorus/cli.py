@@ -29,14 +29,12 @@ from .states import (
 from .symmetry import check_gauge_invariant, check_spreadable, check_stationary
 
 
-def _add_common(sub, alpha=True, state=False, mode=True, seed=False):
-    if alpha:
-        sub.add_argument("--alpha", required=True,
-                         help="deformation parameter: N/D or 'irrational'")
+def _add_common(sub, state=False, seed=False):
+    sub.add_argument("--alpha", required=True,
+                     help="deformation parameter: N/D or 'irrational'")
     if state:
         sub.add_argument("--state", required=True,
                          help="state description file (JSON)")
-    if mode:
         sub.add_argument("--mode", choices=("exact", "float"), default="exact")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
@@ -50,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("n0", help="isotropy generator of the deformation")
-    _add_common(p, mode=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_n0)
 
     p = subs.add_parser("normal-form", help="canonical form of an expression")
-    _add_common(p, mode=False)
+    _add_common(p)
     p.add_argument("expr")
     p.set_defaults(func=_cmd_normal_form)
 
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_n0)
 
     p = osubs.add_parser("trace", help="matrix model trace vs canonical trace")
-    _add_common(p, mode=False)
+    _add_common(p)
     p.add_argument("--gens", type=int, default=4,
                    help="number of generators in the matrix model")
     p.add_argument("expr")
@@ -163,8 +161,7 @@ def _print_value(label: str, value, exact: bool) -> None:
 
 
 def _cmd_check(args) -> int:
-    beta, state, exact = _load(args)
-    mode = "exact" if exact else "float"
+    beta, state, _ = _load(args)
     common = dict(
         trials=args.trials,
         seed=args.seed,
@@ -172,7 +169,7 @@ def _cmd_check(args) -> int:
         max_index=args.max_index,
         max_exponent=args.max_exponent,
         exhaustive=not args.no_exhaustive,
-        mode=mode,
+        mode=args.mode,
     )
     if args.property == "spreadable":
         report = check_spreadable(state, beta, **common)
@@ -244,12 +241,11 @@ def _cmd_oracle_trace(args) -> int:
 
 
 def _cmd_oracle_psd(args) -> int:
-    beta, state, exact = _load(args)
-    mode = "exact" if exact else "float"
+    beta, state, _ = _load(args)
     if args.words is not None and len(args.words) > 0:
         algebra = TorusAlgebra(beta)
         elements = [parse(text, algebra) for text in args.words]
-        verdict = gram_psd(state, elements, mode=mode)
+        verdict = gram_psd(state, elements, mode=args.mode)
         print(f"gram matrix ({len(elements)} words): {verdict.describe()}")
     else:
         if not isinstance(state, ProductState):

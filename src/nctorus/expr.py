@@ -263,11 +263,11 @@ def format_element(x: Element) -> str:
     return format_terms(x.terms())
 
 
-def format_complex(z: complex, digits: int = 12) -> str:
-    """Fixed-significant-digit rendering, stable for diffing."""
-    re = f"{z.real:.{digits}g}"
+def format_complex(z: complex) -> str:
+    """Rendering to 12 significant digits, stable for diffing."""
+    re = f"{z.real:.12g}"
     if z.imag == 0:
         return re
-    im = f"{abs(z.imag):.{digits}g}"
+    im = f"{abs(z.imag):.12g}"
     sign = "+" if z.imag > 0 else "-"
     return f"{re}{sign}{im}i"

@@ -19,16 +19,16 @@ from typing import TYPE_CHECKING
 
 from .algebra import Element, TorusAlgebra, Word, word_translate
 from .deformation import MAX_LEVEL, DeformationParameter, InputError
-from .scalars import PC_ZERO, QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi, cyclotomic_polynomial
+from .scalars import QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi, cyclotomic_polynomial
 from .states import (
+    EXACT,
     BlockProductState,
     CesaroState,
     MomentSequence,
     StateSpec,
     evaluate,
     evaluate_float,
-    evaluate_word,
-    evaluate_word_float,
+    scalar_field,
 )
 
 if TYPE_CHECKING:  # numpy loads on first use, not with the package
@@ -187,18 +187,13 @@ def brute_cesaro_word(state: CesaroState, word: Word, algebra: TorusAlgebra, *,
     Evaluates the block product once per shift k in [-n, n], so the cost is
     linear in n; exists to check the run-weighted sum of evaluate_word.
     """
+    field = scalar_field(mode, beta_value)
     n = state.half_width
     inner = BlockProductState(n, state.base)
-    shifts = range(-n, n + 1)
-    if mode == "exact":
-        acc = PC_ZERO
-        for k in shifts:
-            acc = acc + evaluate_word(inner, word_translate(word, k), algebra)
-        return acc * Fraction(1, 2 * n + 1)
-    acc = 0j
-    for k in shifts:
-        acc += evaluate_word_float(inner, word_translate(word, k), algebra, beta_value)
-    return acc / (2 * n + 1)
+    acc = field.zero
+    for k in range(-n, n + 1):
+        acc = acc + field.word_value(inner, word_translate(word, k), algebra)
+    return field.mean(acc, 2 * n + 1)
 
 
 def brute_n0(denominator: int) -> int:
@@ -253,8 +248,7 @@ class MatrixRep:
     demand.
     """
 
-    def __init__(self, beta: DeformationParameter, generators: int,
-                 verify: bool = True, tolerance: float = 1e-12):
+    def __init__(self, beta: DeformationParameter, generators: int):
         if not beta.is_rational:
             raise InputError("the matrix model needs rational beta")
         if generators < 1:
@@ -271,8 +265,7 @@ class MatrixRep:
         for k in range(d):
             self.step[(k - 1) % d, k] = 1.0
         self.eye = np.eye(d, dtype=complex)
-        if verify:
-            self.verify(tolerance)
+        self.verify()
 
     @property
     def lam(self) -> complex:
@@ -484,8 +477,8 @@ def hermitian_psd_exact(matrix: list[list[QQi]]) -> PsdVerdict:
     return PsdVerdict(True)
 
 
-def hermitian_psd_float(matrix: np.ndarray, tolerance: float = -1e-10) -> PsdVerdict:
-    """Eigensolve positivity check with the documented tolerance.
+def hermitian_psd_float(matrix: np.ndarray) -> PsdVerdict:
+    """Eigensolve positivity check: PSD unless an eigenvalue is below -1e-10.
 
     The Hermitian part (M + M*)/2 is used, which carries the real part of
     the quadratic form; for a genuine state Gram matrix the two coincide.
@@ -496,7 +489,7 @@ def hermitian_psd_float(matrix: np.ndarray, tolerance: float = -1e-10) -> PsdVer
     herm = (m + m.conj().T) / 2
     values, vectors = np.linalg.eigh(herm)
     least = float(values[0])
-    if least < tolerance:
+    if least < -1e-10:
         return PsdVerdict(
             False, witness=tuple(vectors[:, 0]), min_eigenvalue=least
         )
@@ -537,9 +530,10 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
     (or on request) the floating eigensolve runs, which is also the path
     that exhibits non-states built from inadmissible moments.
     """
+    field = scalar_field(mode, beta_value)
     adjoints = [x.adjoint() for x in elements]
     n = len(elements)
-    if mode == "exact":
+    if field is EXACT:
         entries: list[list[QQi]] = []
         for i in range(n):
             row = []

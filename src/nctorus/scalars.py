@@ -557,7 +557,7 @@ class PhaseCoefficient:
             ang = float(q)
             if m:
                 if beta_value is None:
-                    raise ValueError(
+                    raise InputError(
                         "symbolic twist power needs a numeric beta value"
                     )
                 ang += float(beta_value) * m

@@ -3,11 +3,14 @@
 States are specified structurally: the canonical trace, a product over sites
 of one circle-state given by its moments, a product over blocks of a base
 state, a Cesaro average of that block product over shifts, or a finite
-convex mixture.  Exact evaluation returns a PhaseCoefficient; the float path
-(for arbitrary complex moments and for negative tests with inadmissible
-moments) returns a machine complex and comparisons against it carry a 1e-9
-tolerance.  Both run the same interpreter, each state kind's value method,
-over a scalar field: ExactField or FloatField.
+convex mixture.  Every state kind has one interpreter, its value method,
+run over a scalar field: EXACT, whose values are PhaseCoefficients, or a
+FloatField, whose values are machine complexes compared within
+FLOAT_TOLERANCE (for arbitrary complex moments, for negative tests with
+inadmissible moments and for a numeric beta).  A mode string becomes a
+field once, in scalar_field.  Moments take their arithmetic from a field
+too.  A block product evaluates its base once per distinct block, each
+block translated to start at index 0.
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Mapping
 
-from .algebra import Element, TorusAlgebra, Word, translate, word_translate
+from .algebra import Element, TorusAlgebra, Word, translate, word_degree, word_translate
 from .deformation import DeformationParameter, InputError, isotropy
 from .scalars import PC_ONE, PC_ZERO, QQI_ONE, PhaseCoefficient, QQi
 
 FLOAT_TOLERANCE = 1e-9
-MAX_STATE_DEPTH = 16  # bounds the recursion; nested Cesaro work grows geometrically
+# Bounds the recursion.  Nested Cesaro work still grows with the depth: 680
+# base evaluations at 15 levels for a three-index word, 460,000 for six.
+MAX_STATE_DEPTH = 16
 
 
 class InadmissibleMomentsError(InputError):
@@ -35,36 +41,33 @@ class MomentSequence:
     """Finitely supported moments c_l of a state on the circle algebra.
 
     c_0 = 1 is mandatory and Hermitian symmetry c_{-l} = conj(c_l) is filled
-    in or checked; the contractivity bound |c_l| <= 1 is enforced where it is
-    exactly representable.  Positive-definiteness is not an invariant here;
-    the oracle module checks it on demand.
+    in or checked; the contractivity bound |c_l| <= 1 is enforced.  Exact
+    moments are Gaussian rationals and compare exactly; float moments are
+    machine complexes and compare within FLOAT_TOLERANCE.  Both take their
+    arithmetic from their scalar field.  Positive-definiteness is not an
+    invariant here; the oracle module checks it on demand.
     """
 
-    __slots__ = ("_moments", "exact")
+    __slots__ = ("_moments", "_field")
 
     def __init__(self, moments: Mapping[int, object], exact: bool = True):
-        self.exact = exact
+        field = self._field = EXACT if exact else FLOAT_MOMENTS
+        zero = field.moment(0)
         cleaned: dict[int, object] = {}
         for l, v in moments.items():
-            value = QQi.of(v) if exact else complex(v)
-            if exact:
-                if value.is_zero():
-                    continue
-            elif value == 0:
-                continue
-            cleaned[int(l)] = value
-        zero = cleaned.get(0)
-        one = QQI_ONE if exact else 1 + 0j
-        if zero is None:
-            cleaned[0] = one
-        elif not self._values_equal(zero, one):
+            value = field.moment(v)
+            if value != zero:
+                cleaned[int(l)] = value
+        if 0 not in cleaned:
+            cleaned[0] = field.moment_one
+        elif not field.equal(cleaned[0], field.moment_one):
             raise InputError("the zeroth moment of a state must be 1")
         for l in sorted(cleaned):
             if l <= 0:
                 continue
-            mirror = self._conj(cleaned[l])
+            mirror = cleaned[l].conjugate()
             if -l in cleaned:
-                if not self._values_equal(cleaned[-l], mirror):
+                if not field.equal(cleaned[-l], mirror):
                     raise InputError(
                         f"moments at {l} and {-l} are not conjugate"
                     )
@@ -72,22 +75,15 @@ class MomentSequence:
                 cleaned[-l] = mirror
         for l in sorted(cleaned):
             if l < 0 and -l not in cleaned:
-                cleaned[-l] = self._conj(cleaned[l])
+                cleaned[-l] = cleaned[l].conjugate()
         for l, v in cleaned.items():
-            if exact:
-                if v.abs2() > 1:
-                    raise InputError(f"moment at {l} exceeds modulus 1")
-            elif abs(v) > 1 + FLOAT_TOLERANCE:
+            if field.exceeds_one(v):
                 raise InputError(f"moment at {l} exceeds modulus 1")
         self._moments = cleaned
 
-    def _conj(self, v):
-        return v.conjugate()
-
-    def _values_equal(self, a, b) -> bool:
-        if self.exact:
-            return (a - b).is_zero()
-        return abs(a - b) <= 1e-12
+    @property
+    def exact(self) -> bool:
+        return self._field is EXACT
 
     @classmethod
     def lebesgue(cls) -> MomentSequence:
@@ -95,8 +91,7 @@ class MomentSequence:
         return cls({0: 1})
 
     def moment(self, l: int):
-        default = QQi() if self.exact else 0j
-        return self._moments.get(l, default)
+        return self._moments.get(l, self._field.moment(0))
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._moments))
@@ -108,7 +103,7 @@ class MomentSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MomentSequence):
             return NotImplemented
-        return self.exact == other.exact and self._moments == other._moments
+        return self._field == other._field and self._moments == other._moments
 
     __hash__ = None
 
@@ -120,16 +115,18 @@ class MomentSequence:
 class ExactField:
     """Exact scalars: PhaseCoefficient values, zero when no term is stored.
 
-    A field supplies zero and one; moment_one, moment and lift for products
-    of circle moments; coefficient for phases and element coefficients;
-    is_zero, mean and equal.  Nested evaluations re-enter through the
-    module-level evaluate_word, so a wrapper installed on that name sees
-    every exact evaluation.
+    A field supplies zero and one; moment_one, moment (which coerces a
+    moment), exceeds_one and lift for circle moments and their products;
+    coefficient for phases and element coefficients; is_zero, mean and
+    equal.  Nested evaluations re-enter through the module-level
+    evaluate_word, so a wrapper installed on that name sees every exact
+    evaluation.
     """
 
     zero, one, moment_one = PC_ZERO, PC_ONE, QQI_ONE
     lift = staticmethod(PhaseCoefficient.from_qqi)
-    moment = coefficient = staticmethod(lambda c: c)
+    moment = staticmethod(QQi.of)
+    coefficient = staticmethod(lambda c: c)
     equal = staticmethod(operator.eq)
 
     @staticmethod
@@ -139,6 +136,8 @@ class ExactField:
     @staticmethod
     def is_zero(v) -> bool:
         return not v._terms
+
+    exceeds_one = staticmethod(lambda v: v.abs2() > 1)
 
     @staticmethod
     def mean(total, count: int):
@@ -168,8 +167,20 @@ class FloatField:
     def equal(a, b) -> bool:
         return abs(a - b) <= FLOAT_TOLERANCE
 
+    exceeds_one = staticmethod(lambda v: abs(v) > 1 + FLOAT_TOLERANCE)
+
 
 EXACT = ExactField()
+FLOAT_MOMENTS = FloatField()  # the field of float moments, which never meet beta
+
+
+def scalar_field(mode: str, beta_value=None):
+    """The field of a mode: EXACT for "exact", FloatField(beta_value) for "float"."""
+    if mode == "exact":
+        return EXACT
+    if mode == "float":
+        return FloatField(beta_value)
+    raise InputError(f"unknown mode {mode!r}; use 'exact' or 'float'")
 
 
 class StateSpec:
@@ -256,21 +267,6 @@ class ProductState(StateSpec):
         return {"kind": "product", "moments": rows}
 
 
-def _block_split(word: Word, half_width: int):
-    span = 2 * half_width + 1
-    i = 0
-    n = len(word)
-    while i < n:
-        r = (word[i][0] + half_width) // span
-        j = i
-        deg = 0
-        while j < n and (word[j][0] + half_width) // span == r:
-            deg += word[j][1]
-            j += 1
-        yield r, deg, word[i:j]
-        i = j
-
-
 def cesaro_runs(word: Word, half_width: int) -> list[tuple[int, int]]:
     """(shift, count) pairs whose counts partition the Cesaro shifts.
 
@@ -311,6 +307,29 @@ class _BlockFamily(StateSpec):
     def to_json(self) -> dict:
         return {"kind": self.kind, "n": self.half_width, "base": self.base.to_json()}
 
+    def block_product(self, word: Word, algebra: TorusAlgebra, field, memo: dict):
+        """The block product of the base on word.
+
+        A block whose degree is outside the isotropy subgroup gives zero
+        (blockwise annihilator average); any other is translated to start at
+        index 0, which the shift-invariant base allows, and evaluated once
+        per distinct translated block through memo.
+        """
+        n, iso = self.half_width, algebra.isotropy
+        span = 2 * n + 1
+        acc = field.one
+        for _, factors in groupby(word, lambda f: (f[0] + n) // span):
+            factors = tuple(factors)
+            block = word_translate(factors, -factors[0][0])
+            v = memo.get(block)
+            if v is None:
+                v = memo[block] = (field.word_value(self.base, block, algebra)
+                                   if iso.contains(word_degree(block)) else field.zero)
+            if field.is_zero(v):
+                return field.zero
+            acc = acc * v
+        return acc
+
 
 class BlockProductState(_BlockFamily):
     """Product over consecutive blocks of width 2*half_width + 1 of a base.
@@ -318,8 +337,8 @@ class BlockProductState(_BlockFamily):
     Block r covers the indices [-half_width + r*(2*half_width+1),
     r*(2*half_width+1) + half_width].  A word whose block degrees are not all
     in the isotropy subgroup evaluates to zero (blockwise annihilator
-    average); otherwise each block is translated back to block 0 and fed to
-    the base.  Block products are only periodically shift invariant.
+    average); otherwise each block is fed to the base (block_product).
+    Block products are only periodically shift invariant.
     """
 
     kind, base_noun = "block", "block product"
@@ -328,17 +347,7 @@ class BlockProductState(_BlockFamily):
         return False
 
     def value(self, word: Word, algebra: TorusAlgebra, field):
-        iso = algebra.isotropy
-        span = 2 * self.half_width + 1
-        acc = field.one
-        for r, deg, block in _block_split(word, self.half_width):
-            if not iso.contains(deg):
-                return field.zero
-            v = field.word_value(self.base, word_translate(block, -r * span), algebra)
-            if field.is_zero(v):
-                return field.zero
-            acc = acc * v
-        return acc
+        return self.block_product(word, algebra, field, {})
 
 
 class CesaroState(_BlockFamily):
@@ -348,19 +357,19 @@ class CesaroState(_BlockFamily):
     the block product.  The base is shift invariant, so B_n(tau^k w) only
     depends on how the shift splits the support of w into blocks, and that
     split changes at one cut point per distinct support index.  Evaluation
-    therefore sums one block value per run of equal splits, weighted by the
-    run length (cesaro_runs): at most (distinct support indices + 1) block
-    evaluations, however large n is.
+    therefore sums one block product per run of equal splits, weighted by
+    the run length (cesaro_runs): at most (distinct support indices + 1)
+    block products, however large n is, which share one memo of base values.
     """
 
     kind, base_noun = "cesaro", "cesaro"
 
     def value(self, word: Word, algebra: TorusAlgebra, field):
         n = self.half_width
-        inner = BlockProductState(n, self.base)
+        memo = {}
         acc = field.zero
         for k, count in cesaro_runs(word, n):
-            v = field.word_value(inner, word_translate(word, k), algebra)
+            v = self.block_product(word_translate(word, k), algebra, field, memo)
             if not field.is_zero(v):
                 acc = acc + v * count
         return field.mean(acc, 2 * n + 1)

@@ -18,7 +18,7 @@ from .algebra import TorusAlgebra, Word, normal_form, split_at, word_degree
 from .deformation import DeformationParameter, InputError, isotropy
 from .expr import format_word
 from .scalars import PhaseCoefficient
-from .states import EXACT, FloatField, StateSpec, describe_state, validate_state
+from .states import EXACT, StateSpec, describe_state, scalar_field, validate_state
 
 
 class IncreasingMap:
@@ -338,9 +338,10 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     """
     _check_budget(action_count, exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent, **limits)
-    validate_state(state, beta, float_mode=(mode == "float"))
+    field = scalar_field(mode, beta_value)
+    exact = field is EXACT
+    validate_state(state, beta, float_mode=not exact)
     algebra = TorusAlgebra(beta)
-    field = EXACT if mode == "exact" else FloatField(beta_value)
     budget = (
         f"words: <={max_factors} factors, |index|<={max_index}, "
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
@@ -380,7 +381,6 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     cases = 0
     if exhaustive:
         moves = [(action, act(action)) for action in actions()]
-        exact = mode == "exact"
         verdicts = {}
         for factors, twist, nf in iter_normal_words(max_factors, max_index, max_exponent):
             key = nf if exact else (twist, nf)

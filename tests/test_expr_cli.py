@@ -703,3 +703,50 @@ def test_print_parse_round_trip(beta, data):
     y = parse(text, algebra)
     assert y == x
     assert format_element(y) == text
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
+@pytest.mark.parametrize("argv", [
+    ["eval", "--alpha", "irrational", "--mode", "float", "--state", "@trace",
+     "u[1]*u[0]*u[1]^-1*u[0]^-1"],
+    ["check", "stationary", "--alpha", "irrational", "--mode", "float", "--state", "@prod",
+     "--trials", "5"],
+    ["oracle", "psd", "--alpha", "irrational", "--mode", "float", "--state", "@trace",
+     "--words", "u[0]*u[1]", "u[1]*u[0]"],
+])
+def test_float_mode_symbolic_twist_exits_2_before_any_output(capsys, state_files, argv):
+    # the CLI supplies no numeric beta, so a twist at irrational beta has no float value
+    argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "symbolic twist power needs a numeric beta value" in err
+
+
+SMALL_CHECK = ["--trials", "3", "--max-factors", "2", "--max-index", "1", "--max-exponent", "2"]
+STATE_FILE_COMMANDS = [
+    (["eval"], ["{expr}"]),
+    (["check", "spreadable"], SMALL_CHECK),
+    (["check", "stationary"], SMALL_CHECK),
+    (["check", "gauge"], SMALL_CHECK),
+    (["cesaro"], ["--n", "2", "{expr}"]),
+    (["cluster"], ["--K", "3", "{expr}", "u[0]"]),
+    (["oracle", "psd"], ["--order", "3"]),
+    (["oracle", "psd"], ["--words", "{expr}", "u[0]"]),
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=state_descriptions(), command=st.sampled_from(STATE_FILE_COMMANDS),
+       alpha=st.sampled_from(["irrational", "1/2"]), mode=st.sampled_from(["float", "exact"]),
+       expr=st.sampled_from(["u[1]*u[0]*u[1]^-1*u[0]^-1", "u[0]^2", "u[0] + 1/2"]))
+def test_state_file_commands_exit_code_contract(capsys, tmp_path, obj, command, alpha, mode,
+                                                expr):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    head, tail = command
+    argv = head + ["--alpha", alpha, "--state", str(path), "--mode", mode]
+    code = main(argv + [expr if a == "{expr}" else a for a in tail])
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -32,8 +32,10 @@ from nctorus import (
     normal_form,
     toeplitz_psd,
 )
+from nctorus.algebra import word_translate
 from nctorus.deformation import InputError
 from nctorus.oracle import _quadratic_form
+from nctorus.scalars import PC_ONE, PC_ZERO
 
 F = Fraction
 
@@ -70,6 +72,42 @@ CESARO_BASES = [
 ]
 
 
+NESTED_CESARO = st.builds(CesaroState, st.integers(0, 2), st.recursive(
+    st.sampled_from(CESARO_BASES[:3]),
+    lambda inner: st.one_of(
+        st.builds(CesaroState, st.integers(0, 2), inner),
+        st.builds(lambda a, b: MixtureState(((F(1, 3), a), (F(2, 3), b))), inner, inner),
+    ),
+    max_leaves=4,
+))
+
+
+def _literal_value(state, word, algebra):
+    """phi(word) with every Cesaro level the plain average over its 2n+1
+    shifts, and every block product split by hand, each block moved back to
+    block 0."""
+    if isinstance(state, MixtureState):
+        return sum((_literal_value(p, word, algebra) * w for w, p in state.parts), PC_ZERO)
+    if not isinstance(state, CesaroState):
+        return evaluate_word(state, word, algebra)
+    n = state.half_width
+    span = 2 * n + 1
+    total = PC_ZERO
+    for k in range(-n, n + 1):
+        blocks = {}
+        for i, e in word_translate(word, k):
+            blocks.setdefault((i + n) // span, []).append((i, e))
+        value = PC_ONE
+        for r, block in blocks.items():
+            if not algebra.isotropy.contains(sum(e for _, e in block)):
+                value = PC_ZERO
+                break
+            moved = word_translate(tuple(block), -r * span)
+            value = value * _literal_value(state.base, moved, algebra)
+        total = total + value
+    return total * F(1, span)
+
+
 class TestBruteCesaro:
     def test_example(self):
         # u0^2 u1^2 at n = 1: shifts -1, 0 keep both factors in one block
@@ -99,6 +137,38 @@ class TestBruteCesaro:
         fast = evaluate_word_float(state, word, algebra)
         slow = brute_cesaro_word(state, word, algebra, mode="float")
         assert abs(fast - slow) <= 1e-9
+
+    @given(st.sampled_from(CESARO_BETAS), NESTED_CESARO,
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-2, 2)), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_nested_states_match_shift_average(self, beta, state, factors):
+        algebra = TorusAlgebra(beta)
+        word = normal_form(factors)[1]
+        fast = evaluate_word(state, word, algebra)
+        assert fast == brute_cesaro_word(state, word, algebra)
+        assert fast == _literal_value(state, word, algebra)
+        slow = brute_cesaro_word(state, word, algebra, mode="float")
+        assert abs(evaluate_word_float(state, word, algebra) - slow) <= 1e-9
+
+    def test_nested_cesaro_evaluations_grow_slowly_in_depth(self, monkeypatch):
+        # 15 levels, the deepest chain a state file allows; each level meets
+        # at most three distinct translated blocks of the three-index word
+        import nctorus.states as states
+
+        calls = []
+        inner = states.evaluate_word
+
+        def counting(state, word, algebra):
+            calls.append(type(state).__name__)
+            return inner(state, word, algebra)
+
+        monkeypatch.setattr(states, "evaluate_word", counting)
+        state = ProductState(MomentSequence({2: F(1, 2)}))
+        for _ in range(15):
+            state = CesaroState(1000, state)
+        value = counting(state, ((0, 2), (1, 2), (2, 2)), TorusAlgebra(canonicalize(1, 2)))
+        assert value == F(1, 8)
+        assert calls.count("CesaroState") <= 700
 
 
 class TestN0:

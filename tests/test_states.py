@@ -79,6 +79,16 @@ class TestMomentSequence:
         assert MomentSequence.lebesgue().is_admissible(iso_irr)
         assert not soft_moments().is_admissible(iso_irr)
 
+    def test_float_moments_compare_within_float_tolerance(self):
+        # the zeroth-moment and conjugacy gaps of float moments use the
+        # tolerance of every other float comparison, FLOAT_TOLERANCE = 1e-9
+        m = MomentSequence({0: 1 + 5e-10, 2: 0.5, -2: 0.5 + 5e-10j}, exact=False)
+        assert m.moment(-2) == 0.5 + 5e-10j
+        with pytest.raises(InputError, match="not conjugate"):
+            MomentSequence({2: 0.5, -2: 0.5 + 1e-8j}, exact=False)
+        with pytest.raises(InputError, match="zeroth moment"):
+            MomentSequence({0: 1 + 1e-8}, exact=False)
+
 
 class TestValidation:
     def test_inadmissible_rejected_exact(self):

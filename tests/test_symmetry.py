@@ -8,6 +8,7 @@ import pytest
 
 from nctorus import (
     BlockProductState,
+    CesaroState,
     Composite,
     InputError,
     IRRATIONAL,
@@ -33,7 +34,7 @@ from nctorus import (
 from nctorus import states, symmetry
 from nctorus.algebra import normal_form, word_degree
 from nctorus.expr import format_word
-from nctorus.oracle import brute_normal_form
+from nctorus.oracle import brute_cesaro_word, brute_normal_form, gram_psd
 from nctorus.scalars import PhaseCoefficient
 from nctorus.symmetry import (
     MAX_EXHAUSTIVE_CASES,
@@ -483,3 +484,23 @@ def test_random_pass_window_limit():
         report = check_spreadable(TRACE, BETA_HALF, max_index=MAX_EXHAUSTIVE_CASES,
                                   **dict(window, **change))
         assert report.passed
+
+
+@pytest.mark.parametrize("mode", ["Exact", "exakt", "FLOAT", ""])
+def test_unknown_mode_is_rejected(mode):
+    # a mode other than "exact" or "float" is an input error, not float arithmetic
+    beta = canonicalize(1, 2)
+    algebra = TorusAlgebra(beta)
+    product = ProductState(MomentSequence({2: Fraction(1, 2)}))
+    cesaro = CesaroState(1, product)
+    calls = [
+        lambda: check_spreadable(cesaro, beta, trials=1, exhaustive=False, mode=mode),
+        lambda: check_stationary(BlockProductState(1, product), beta, power=1, trials=0,
+                                 mode=mode),
+        lambda: check_gauge_invariant(cesaro, beta, trials=1, exhaustive=False, mode=mode),
+        lambda: gram_psd(cesaro, [algebra.u(0), algebra.one()], mode=mode),
+        lambda: brute_cesaro_word(cesaro, ((0, 2),), algebra, mode=mode),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="unknown mode"):
+            call()
