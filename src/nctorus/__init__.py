@@ -64,12 +64,9 @@ from .states import (
     TRACE,
     Trace,
     clustering_gap,
-    clustering_gap_float,
     describe_state,
     evaluate,
-    evaluate_float,
     evaluate_word,
-    evaluate_word_float,
     is_stationary_evaluable,
     load_state,
     state_from_json,

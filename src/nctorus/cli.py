@@ -3,7 +3,9 @@
 Exit codes: 0 when the command succeeds (and any checked property holds),
 1 when a counterexample is found or a checked property fails, 2 on usage or
 input errors.  All randomized commands take --seed and are byte-reproducible
-under identical invocations.
+under identical invocations.  Every command that reads a state takes
+--mode exact|float and passes it on as the library's mode=; a printed value
+is a float-mode value exactly when it is a complex.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .states import (
     ProductState,
     TRACE,
     clustering_gap,
-    clustering_gap_float,
     evaluate,
-    evaluate_float,
     load_state,
 )
 from .symmetry import check_gauge_invariant, check_spreadable, check_stationary
@@ -133,22 +133,20 @@ def _cmd_normal_form(args) -> int:
 
 def _load(args):
     beta = parse_beta(args.alpha)
-    exact = args.mode == "exact"
-    state = load_state(args.state, exact=exact)
-    return beta, state, exact
+    return beta, load_state(args.state, mode=args.mode)
 
 
 def _cmd_eval(args) -> int:
-    beta, state, exact = _load(args)
+    beta, state = _load(args)
     algebra = TorusAlgebra(beta)
     x = parse(args.expr, algebra)
-    _print_value("exact", evaluate(state, x) if exact else evaluate_float(state, x), exact)
+    _print_value("exact", evaluate(state, x, mode=args.mode))
     return 0
 
 
-def _print_value(label: str, value, exact: bool) -> None:
-    """An exact value and then its float, or a float-mode value alone."""
-    if not exact:
+def _print_value(label: str, value) -> None:
+    """An exact value and then its float, or a float-mode (complex) value alone."""
+    if isinstance(value, complex):
         print(f"float: {format_complex(value)}")
         return
     text = str(value)
@@ -161,7 +159,7 @@ def _print_value(label: str, value, exact: bool) -> None:
 
 
 def _cmd_check(args) -> int:
-    beta, state, _ = _load(args)
+    beta, state = _load(args)
     common = dict(
         trials=args.trials,
         seed=args.seed,
@@ -183,8 +181,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cesaro(args) -> int:
-    beta, state, exact = _load(args)
-    if not exact:
+    beta, state = _load(args)
+    if args.mode == "float":
         raise InputError("the cesaro command runs in exact mode")
     algebra = TorusAlgebra(beta)
     x = parse(args.expr, algebra)
@@ -207,12 +205,11 @@ def _cmd_cesaro(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    beta, state, exact = _load(args)
+    beta, state = _load(args)
     algebra = TorusAlgebra(beta)
     x = parse(args.x, algebra)
     y = parse(args.y, algebra)
-    gap = clustering_gap if exact else clustering_gap_float
-    _print_value("gap", gap(state, x, y, args.distance), exact)
+    _print_value("gap", clustering_gap(state, x, y, args.distance, mode=args.mode))
     return 0
 
 
@@ -241,7 +238,7 @@ def _cmd_oracle_trace(args) -> int:
 
 
 def _cmd_oracle_psd(args) -> int:
-    beta, state, _ = _load(args)
+    beta, state = _load(args)
     if args.words is not None and len(args.words) > 0:
         algebra = TorusAlgebra(beta)
         elements = [parse(text, algebra) for text in args.words]

@@ -27,7 +27,6 @@ from .states import (
     MomentSequence,
     StateSpec,
     evaluate,
-    evaluate_float,
     scalar_field,
 )
 
@@ -235,6 +234,11 @@ def n0_table(limit: int) -> list[int]:
     return out
 
 
+# Each D x D complex factor takes 16 D^2 bytes: three per matrix_rep cache
+# entry and 64 entries stay under 200 MiB at D = 256.
+MAX_MATRIX_MODULUS = 256
+
+
 class MatrixRep:
     """Clock-and-shift model of finitely many generators at rational beta.
 
@@ -251,6 +255,8 @@ class MatrixRep:
     def __init__(self, beta: DeformationParameter, generators: int):
         if not beta.is_rational:
             raise InputError("the matrix model needs rational beta")
+        if beta.denominator > MAX_MATRIX_MODULUS:
+            raise InputError(f"the matrix model needs a denominator <= {MAX_MATRIX_MODULUS}")
         if generators < 1:
             raise InputError("need at least one generator")
         self.beta = beta
@@ -552,7 +558,6 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
     numeric = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            numeric[i, j] = evaluate_float(
-                state, adjoints[i] * elements[j], beta_value
-            )
+            numeric[i, j] = evaluate(state, adjoints[i] * elements[j],
+                                     mode=mode, beta_value=beta_value)
     return hermitian_psd_float(numeric)

@@ -7,10 +7,11 @@ convex mixture.  Every state kind has one interpreter, its value method,
 run over a scalar field: EXACT, whose values are PhaseCoefficients, or a
 FloatField, whose values are machine complexes compared within
 FLOAT_TOLERANCE (for arbitrary complex moments, for negative tests with
-inadmissible moments and for a numeric beta).  A mode string becomes a
-field once, in scalar_field.  Moments take their arithmetic from a field
-too.  A block product evaluates its base once per distinct block, each
-block translated to start at index 0.
+inadmissible moments and for a numeric beta).  Every entry point takes
+mode="exact" or "float" (and beta_value), which becomes a field in one
+place, scalar_field.  Moments take their arithmetic from a field too.  One
+evaluation shares one Values table down the state tree, and blocks start at
+index 0, so a state meets each contiguous run of the word's factors once.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .deformation import DeformationParameter, InputError, isotropy
 from .scalars import PC_ONE, PC_ZERO, QQI_ONE, PhaseCoefficient, QQi
 
 FLOAT_TOLERANCE = 1e-9
-# Bounds the recursion.  Nested Cesaro work still grows with the depth: 680
-# base evaluations at 15 levels for a three-index word, 460,000 for six.
+# Bounds the recursion.  Nested work is linear in the tree: a state meets at
+# most 1 + s(s+1)/2 words for a word of s factors (Values, block_product).
 MAX_STATE_DEPTH = 16
 
 
@@ -50,8 +51,8 @@ class MomentSequence:
 
     __slots__ = ("_moments", "_field")
 
-    def __init__(self, moments: Mapping[int, object], exact: bool = True):
-        field = self._field = EXACT if exact else FLOAT_MOMENTS
+    def __init__(self, moments: Mapping[int, object], mode: str = "exact"):
+        field = self._field = scalar_field(mode)
         zero = field.moment(0)
         cleaned: dict[int, object] = {}
         for l, v in moments.items():
@@ -109,7 +110,7 @@ class MomentSequence:
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}: {v}" for l, v in sorted(self._moments.items()))
-        return f"MomentSequence({{{inner}}}, exact={self.exact})"
+        return f"MomentSequence({{{inner}}}, mode={'exact' if self.exact else 'float'!r})"
 
 
 class ExactField:
@@ -118,9 +119,8 @@ class ExactField:
     A field supplies zero and one; moment_one, moment (which coerces a
     moment), exceeds_one and lift for circle moments and their products;
     coefficient for phases and element coefficients; is_zero, mean and
-    equal.  Nested evaluations re-enter through the module-level
-    evaluate_word, so a wrapper installed on that name sees every exact
-    evaluation.
+    equal; word_value, one top-level evaluation, which goes through the
+    module-level evaluate_word so that a wrapper on that name sees it.
     """
 
     zero, one, moment_one = PC_ZERO, PC_ONE, QQI_ONE
@@ -158,7 +158,7 @@ class FloatField:
     mean = staticmethod(operator.truediv)
 
     def word_value(self, state, word, algebra):
-        return state.value(word, algebra, self)
+        return state.value(word, Values(algebra, self))
 
     def coefficient(self, c) -> complex:
         return c.to_complex(self.beta_value)
@@ -171,7 +171,6 @@ class FloatField:
 
 
 EXACT = ExactField()
-FLOAT_MOMENTS = FloatField()  # the field of float moments, which never meet beta
 
 
 def scalar_field(mode: str, beta_value=None):
@@ -183,11 +182,26 @@ def scalar_field(mode: str, beta_value=None):
     raise InputError(f"unknown mode {mode!r}; use 'exact' or 'float'")
 
 
+class Values(dict):
+    """One evaluation's values by (id(state), word); the tree outlives it."""
+
+    __slots__ = ("algebra", "field")
+
+    def __init__(self, algebra: TorusAlgebra, field):  # no dict.__init__: starts empty
+        self.algebra, self.field = algebra, field
+
+    def of(self, state: StateSpec, word: Word):
+        key = id(state), word
+        if key not in self:
+            self[key] = state.value(word, self)
+        return self[key]
+
+
 class StateSpec:
     """Base of the structural state descriptions.
 
-    Each kind evaluates a normal-form word over a scalar field
-    (value(word, algebra, field)), describes and serializes itself
+    Each kind evaluates a normal-form word within one evaluation's Values
+    (value(word, values)), describes and serializes itself
     (describe, to_json), and lists the states it is built from (children).
     """
 
@@ -199,18 +213,18 @@ class StateSpec:
     def is_shift_invariant(self) -> bool:
         return all(c.is_shift_invariant() for c in self.children())
 
-    def check_admissible(self, iso, float_mode: bool) -> None:
+    def check_admissible(self, iso, exact: bool) -> None:
         """Reject the state, or one it is built from, at the isotropy subgroup iso."""
         for c in self.children():
-            c.check_admissible(iso, float_mode)
+            c.check_admissible(iso, exact)
 
 
 @dataclass(frozen=True)
 class Trace(StateSpec):
     """The canonical trace: kills every nonempty normal-form word."""
 
-    def value(self, word: Word, algebra: TorusAlgebra, field):
-        return field.zero if word else field.one
+    def value(self, word: Word, values: Values):
+        return values.field.zero if word else values.field.one
 
     def describe(self) -> str:
         return "trace"
@@ -228,7 +242,8 @@ class ProductState(StateSpec):
 
     moments: MomentSequence
 
-    def value(self, word: Word, algebra: TorusAlgebra, field):
+    def value(self, word: Word, values: Values):
+        field = values.field
         acc = field.moment_one
         for _, e in word:
             c = self.moments._moments.get(e)  # zero moments are not stored
@@ -237,15 +252,15 @@ class ProductState(StateSpec):
             acc = acc * field.moment(c)
         return field.lift(acc)
 
-    def check_admissible(self, iso, float_mode: bool) -> None:
-        if not float_mode and not self.moments.exact:
+    def check_admissible(self, iso, exact: bool) -> None:
+        if exact and not self.moments.exact:
             raise InputError("float moments need float mode")
         if not self.moments.is_admissible(iso):
             msg = (
                 f"moments supported outside the isotropy subgroup {iso} "
                 "are inadmissible; the product functional is not a state"
             )
-            if not float_mode:
+            if exact:
                 raise InadmissibleMomentsError(msg)
             warnings.warn(msg)
 
@@ -307,24 +322,22 @@ class _BlockFamily(StateSpec):
     def to_json(self) -> dict:
         return {"kind": self.kind, "n": self.half_width, "base": self.base.to_json()}
 
-    def block_product(self, word: Word, algebra: TorusAlgebra, field, memo: dict):
+    def block_product(self, word: Word, values: Values):
         """The block product of the base on word.
 
         A block whose degree is outside the isotropy subgroup gives zero
         (blockwise annihilator average); any other is translated to start at
-        index 0, which the shift-invariant base allows, and evaluated once
-        per distinct translated block through memo.
+        index 0, which the shift-invariant base allows, and read from values.
         """
-        n, iso = self.half_width, algebra.isotropy
+        n, iso, field = self.half_width, values.algebra.isotropy, values.field
         span = 2 * n + 1
         acc = field.one
         for _, factors in groupby(word, lambda f: (f[0] + n) // span):
             factors = tuple(factors)
             block = word_translate(factors, -factors[0][0])
-            v = memo.get(block)
-            if v is None:
-                v = memo[block] = (field.word_value(self.base, block, algebra)
-                                   if iso.contains(word_degree(block)) else field.zero)
+            if not iso.contains(word_degree(block)):
+                return field.zero
+            v = values.of(self.base, block)
             if field.is_zero(v):
                 return field.zero
             acc = acc * v
@@ -346,8 +359,8 @@ class BlockProductState(_BlockFamily):
     def is_shift_invariant(self) -> bool:
         return False
 
-    def value(self, word: Word, algebra: TorusAlgebra, field):
-        return self.block_product(word, algebra, field, {})
+    def value(self, word: Word, values: Values):
+        return self.block_product(word, values)
 
 
 class CesaroState(_BlockFamily):
@@ -359,17 +372,16 @@ class CesaroState(_BlockFamily):
     split changes at one cut point per distinct support index.  Evaluation
     therefore sums one block product per run of equal splits, weighted by
     the run length (cesaro_runs): at most (distinct support indices + 1)
-    block products, however large n is, which share one memo of base values.
+    block products, however large n is.
     """
 
     kind, base_noun = "cesaro", "cesaro"
 
-    def value(self, word: Word, algebra: TorusAlgebra, field):
-        n = self.half_width
-        memo = {}
+    def value(self, word: Word, values: Values):
+        n, field = self.half_width, values.field
         acc = field.zero
         for k, count in cesaro_runs(word, n):
-            v = self.block_product(word_translate(word, k), algebra, field, memo)
+            v = self.block_product(word_translate(word, k), values)
             if not field.is_zero(v):
                 acc = acc + v * count
         return field.mean(acc, 2 * n + 1)
@@ -394,10 +406,11 @@ class MixtureState(StateSpec):
     def children(self) -> tuple[StateSpec, ...]:
         return tuple(p for _, p in self.parts)
 
-    def value(self, word: Word, algebra: TorusAlgebra, field):
+    def value(self, word: Word, values: Values):
+        field = values.field
         acc = field.zero
         for w, part in self.parts:
-            v = field.word_value(part, word, algebra)
+            v = values.of(part, word)
             if not field.is_zero(v):
                 acc = acc + v * w
         return acc
@@ -426,28 +439,29 @@ def describe_state(state: StateSpec) -> str:
 
 
 def validate_state(state: StateSpec, beta: DeformationParameter,
-                   *, float_mode: bool = False) -> None:
+                   *, mode: str = "exact") -> None:
     """Reject states that cannot be evaluated at the given deformation.
 
     Exact mode insists on exact admissible moments; float mode downgrades
     inadmissibility to a warning so that non-states can be negative-tested.
     """
-    state.check_admissible(isotropy(beta), float_mode)
+    state.check_admissible(isotropy(beta), scalar_field(mode) is EXACT)
 
 
-def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra) -> PhaseCoefficient:
-    """Exact value of the state on one normal-form word."""
-    return state.value(word, algebra, EXACT)
+def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra, *,
+                  mode: str = "exact", beta_value=None):
+    """Value of the state on one normal-form word (a complex in float mode)."""
+    return state.value(word, Values(algebra, scalar_field(mode, beta_value)))
 
 
-def evaluate_word_float(state: StateSpec, word: Word, algebra: TorusAlgebra,
-                        beta_value=None) -> complex:
-    """Floating value of the state on one normal-form word."""
-    return state.value(word, algebra, FloatField(beta_value))
+def evaluate(state: StateSpec, x: Element, *, mode: str = "exact", beta_value=None):
+    """Value of the state on an element (a complex in float mode).
 
-
-def _evaluate(state: StateSpec, x: Element, field):
-    validate_state(state, x.algebra.beta, float_mode=field is not EXACT)
+    Terms are visited in sorted word order, so the (exact) result is
+    reproducible independently of dict history.
+    """
+    field = scalar_field(mode, beta_value)
+    validate_state(state, x.algebra.beta, mode=mode)
     total = field.zero
     for word, coeff in sorted(x._terms.items()):
         v = field.word_value(state, word, x.algebra)
@@ -456,33 +470,13 @@ def _evaluate(state: StateSpec, x: Element, field):
     return total
 
 
-def evaluate(state: StateSpec, x: Element) -> PhaseCoefficient:
-    """Exact value of the state on an element.
+def clustering_gap(state: StateSpec, x: Element, y: Element, distance: int, *,
+                   mode: str = "exact", beta_value=None):
+    """phi(x * tau^distance(y)) - phi(x) * phi(y), in the given mode."""
+    def value(z):
+        return evaluate(state, z, mode=mode, beta_value=beta_value)
 
-    Terms are visited in sorted word order, so the (exact) result is
-    reproducible independently of dict history.
-    """
-    return _evaluate(state, x, EXACT)
-
-
-def evaluate_float(state: StateSpec, x: Element, beta_value=None) -> complex:
-    """Floating value of the state on an element (1e-9 comparison tolerance)."""
-    return _evaluate(state, x, FloatField(beta_value))
-
-
-def _clustering_gap(value, x: Element, y: Element, distance: int):
     return value(x * translate(y, distance)) - value(x) * value(y)
-
-
-def clustering_gap(state: StateSpec, x: Element, y: Element,
-                   distance: int) -> PhaseCoefficient:
-    """phi(x * tau^distance(y)) - phi(x) * phi(y), exactly."""
-    return _clustering_gap(lambda z: evaluate(state, z), x, y, distance)
-
-
-def clustering_gap_float(state: StateSpec, x: Element, y: Element,
-                         distance: int, beta_value=None) -> complex:
-    return _clustering_gap(lambda z: evaluate_float(state, z, beta_value), x, y, distance)
 
 
 # --- structured text format -------------------------------------------------
@@ -540,12 +534,12 @@ def _json_rows(obj: dict, key: str, width: int, shape: str) -> list:
     return rows
 
 
-def state_from_json(obj, *, exact: bool = True) -> StateSpec:
+def state_from_json(obj, *, mode: str = "exact") -> StateSpec:
     """Build a state from its structured description."""
-    return _state_from_json(obj, exact, 0)
+    return _state_from_json(obj, mode, scalar_field(mode) is EXACT, 0)
 
 
-def _state_from_json(obj, exact: bool, depth: int) -> StateSpec:
+def _state_from_json(obj, mode: str, exact: bool, depth: int) -> StateSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("a state description is an object with a 'kind'")
     if depth == MAX_STATE_DEPTH:
@@ -559,24 +553,24 @@ def _state_from_json(obj, exact: bool, depth: int) -> StateSpec:
             l = _json_int(l, "a moment row needs an integer l")
             re, im = _scalar_from_json(re, exact), _scalar_from_json(im, exact)
             moments[l] = QQi(re, im) if exact else complex(re, im)
-        return ProductState(MomentSequence(moments, exact=exact))
+        return ProductState(MomentSequence(moments, mode))
     if kind in ("block", "cesaro"):
         cls = BlockProductState if kind == "block" else CesaroState
         n = _json_int(obj.get("n"), f"{kind} state needs an integer 'n'")
-        return cls(n, _state_from_json(obj.get("base"), exact, depth + 1))
+        return cls(n, _state_from_json(obj.get("base"), mode, exact, depth + 1))
     if kind == "mixture":
         return MixtureState(tuple(
-            (_rational_from_json(w), _state_from_json(p, exact, depth + 1))
+            (_rational_from_json(w), _state_from_json(p, mode, exact, depth + 1))
             for w, p in _json_rows(obj, "parts", 2, "mixture part is [weight, state]")
         ))
     raise InputError(f"unknown state kind {kind!r}")
 
 
-def load_state(path, *, exact: bool = True) -> StateSpec:
+def load_state(path, *, mode: str = "exact") -> StateSpec:
     """Read a state description file (JSON per the structured schema)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
             raise InputError(f"bad state file {path}: {exc}") from None
-    return state_from_json(obj, exact=exact)
+    return state_from_json(obj, mode=mode)

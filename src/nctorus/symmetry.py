@@ -340,7 +340,7 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
                   max_index=max_index, max_exponent=max_exponent, **limits)
     field = scalar_field(mode, beta_value)
     exact = field is EXACT
-    validate_state(state, beta, float_mode=not exact)
+    validate_state(state, beta, mode=mode)
     algebra = TorusAlgebra(beta)
     budget = (
         f"words: <={max_factors} factors, |index|<={max_index}, "

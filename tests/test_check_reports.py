@@ -53,7 +53,7 @@ def cesaro_mixture():
 
 def off_isotropy():
     # moments at +-1 are off the isotropy subgroup 2Z of beta = 1/2
-    return ProductState(MomentSequence({0: 1, 1: 0.5}, exact=False))
+    return ProductState(MomentSequence({0: 1, 1: 0.5}, mode="float"))
 
 
 def fail_lines(prop, state, budget, cases, trials, word, action, before, after):

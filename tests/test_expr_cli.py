@@ -612,6 +612,18 @@ def test_oracle_trace_ignores_slots_above_the_word(capsys):
     assert few[0] == 0
 
 
+def test_oracle_trace_denominator_is_bounded(capsys):
+    from nctorus.oracle import MAX_MATRIX_MODULUS
+
+    argv = ["oracle", "trace", "--gens", "2", "--alpha"]
+    code, out, _ = run_cli(capsys, argv + [f"1/{MAX_MATRIX_MODULUS}", "u[1]*u[2]"])
+    assert (code, out.splitlines()[0]) == (0, "matrix trace: 0")
+    for den in (MAX_MATRIX_MODULUS + 1, 1000003):
+        code, out, err = run_cli(capsys, argv + [f"1/{den}", "u[1]"])
+        assert (code, out) == (2, "")
+        assert f"the matrix model needs a denominator <= {MAX_MATRIX_MODULUS}" in err
+
+
 def test_oracle_psd_order_is_bounded(capsys, state_files):
     from nctorus.oracle import MAX_MOMENT_ORDER
 

@@ -23,7 +23,6 @@ from nctorus import (
     canonicalize,
     evaluate,
     evaluate_word,
-    evaluate_word_float,
     gram_psd,
     hermitian_psd_exact,
     matrix_rep,
@@ -108,6 +107,22 @@ def _literal_value(state, word, algebra):
     return total * F(1, span)
 
 
+def _nested_trees(depth):
+    """Shift-invariant trees of Cesaro states and mixtures, at most depth deep."""
+    leaf = st.sampled_from(CESARO_BASES[:2])
+    if depth == 1:
+        return leaf
+    inner = _nested_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(CesaroState, st.integers(0, 3), inner),
+        st.builds(lambda a, b: MixtureState(((F(1, 4), a), (F(3, 4), b))), inner, inner),
+    )
+
+
+NESTED_TREES = _nested_trees(3)
+
+
 class TestBruteCesaro:
     def test_example(self):
         # u0^2 u1^2 at n = 1: shifts -1, 0 keep both factors in one block
@@ -134,7 +149,7 @@ class TestBruteCesaro:
         assert evaluate_word(state, word, algebra) == brute_cesaro_word(
             state, word, algebra
         )
-        fast = evaluate_word_float(state, word, algebra)
+        fast = evaluate_word(state, word, algebra, mode="float")
         slow = brute_cesaro_word(state, word, algebra, mode="float")
         assert abs(fast - slow) <= 1e-9
 
@@ -148,7 +163,7 @@ class TestBruteCesaro:
         assert fast == brute_cesaro_word(state, word, algebra)
         assert fast == _literal_value(state, word, algebra)
         slow = brute_cesaro_word(state, word, algebra, mode="float")
-        assert abs(evaluate_word_float(state, word, algebra) - slow) <= 1e-9
+        assert abs(evaluate_word(state, word, algebra, mode="float") - slow) <= 1e-9
 
     def test_nested_cesaro_evaluations_grow_slowly_in_depth(self, monkeypatch):
         # 15 levels, the deepest chain a state file allows; each level meets
@@ -169,6 +184,39 @@ class TestBruteCesaro:
         value = counting(state, ((0, 2), (1, 2), (2, 2)), TorusAlgebra(canonicalize(1, 2)))
         assert value == F(1, 8)
         assert calls.count("CesaroState") <= 700
+
+    def test_nested_cesaro_work_is_linear_in_depth(self, monkeypatch):
+        # one evaluation shares its values down the tree: each level meets
+        # at most 6*7/2 = 21 contiguous runs of the six-factor word
+        counted = []
+        value = CesaroState.value
+
+        def counting(self, word, values):
+            counted.append(word)
+            return value(self, word, values)
+
+        monkeypatch.setattr(CesaroState, "value", counting)
+        state = ProductState(MomentSequence({2: F(1, 2)}))
+        for _ in range(15):
+            state = CesaroState(1000, state)
+        word = ((0, 2), (1, -2), (3, 2), (4, 2), (7, -2), (8, 2))
+        evaluate_word(state, word, TorusAlgebra(canonicalize(1, 2)))
+        assert len(counted) <= 15 * 21
+
+    @given(st.sampled_from(CESARO_BETAS), st.integers(0, 3), NESTED_TREES,
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-2, 2)), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_deep_trees_match_shift_average(self, beta, n, base, factors):
+        # depth <= 4; the oracle's per-shift average evaluates the block
+        # product of the nested base on every shift
+        algebra = TorusAlgebra(beta)
+        word = normal_form(factors)[1]
+        state = CesaroState(n, base)
+        exact = evaluate_word(state, word, algebra)
+        assert exact == brute_cesaro_word(state, word, algebra)
+        number = exact.to_complex()
+        assert abs(evaluate_word(state, word, algebra, mode="float") - number) <= 1e-9
+        assert abs(brute_cesaro_word(state, word, algebra, mode="float") - number) <= 1e-9
 
 
 class TestN0:
@@ -307,7 +355,7 @@ class TestToeplitz:
         assert verdict.form_value < 0
 
     def test_float_mode(self):
-        m = MomentSequence({0: 1, 1: 0.9}, exact=False)
+        m = MomentSequence({0: 1, 1: 0.9}, mode="float")
         verdict = toeplitz_psd(m, 3)
         assert not verdict.is_psd
         assert verdict.min_eigenvalue < -1e-6

@@ -23,7 +23,6 @@ from nctorus import (
     clustering_gap,
     describe_state,
     evaluate,
-    evaluate_float,
     is_stationary_evaluable,
     state_from_json,
     state_to_json,
@@ -69,7 +68,7 @@ class TestMomentSequence:
         with pytest.raises(InputError):
             MomentSequence({1: 2})
         with pytest.raises(InputError):
-            MomentSequence({1: 1.5}, exact=False)
+            MomentSequence({1: 1.5}, mode="float")
 
     def test_admissibility(self):
         iso2 = TorusAlgebra(BETA_HALF).isotropy
@@ -82,12 +81,12 @@ class TestMomentSequence:
     def test_float_moments_compare_within_float_tolerance(self):
         # the zeroth-moment and conjugacy gaps of float moments use the
         # tolerance of every other float comparison, FLOAT_TOLERANCE = 1e-9
-        m = MomentSequence({0: 1 + 5e-10, 2: 0.5, -2: 0.5 + 5e-10j}, exact=False)
+        m = MomentSequence({0: 1 + 5e-10, 2: 0.5, -2: 0.5 + 5e-10j}, mode="float")
         assert m.moment(-2) == 0.5 + 5e-10j
         with pytest.raises(InputError, match="not conjugate"):
-            MomentSequence({2: 0.5, -2: 0.5 + 1e-8j}, exact=False)
+            MomentSequence({2: 0.5, -2: 0.5 + 1e-8j}, mode="float")
         with pytest.raises(InputError, match="zeroth moment"):
-            MomentSequence({0: 1 + 1e-8}, exact=False)
+            MomentSequence({0: 1 + 1e-8}, mode="float")
 
 
 class TestValidation:
@@ -97,9 +96,9 @@ class TestValidation:
             validate_state(state, BETA_HALF)
 
     def test_inadmissible_warns_float(self):
-        state = ProductState(MomentSequence({1: 0.5}, exact=False))
+        state = ProductState(MomentSequence({1: 0.5}, mode="float"))
         with pytest.warns(UserWarning):
-            validate_state(state, BETA_HALF, float_mode=True)
+            validate_state(state, BETA_HALF, mode="float")
 
     def test_irrational_only_lebesgue(self):
         good = ProductState(MomentSequence.lebesgue())
@@ -426,7 +425,7 @@ class TestJson:
 
     def test_float_mode_parsing(self):
         obj = {"kind": "product", "moments": [[1, 0.5, 0.25], [-1, 0.5, -0.25]]}
-        state = state_from_json(obj, exact=False)
+        state = state_from_json(obj, mode="float")
         assert not state.moments.exact
         assert state.moments.moment(1) == 0.5 + 0.25j
 
@@ -442,7 +441,7 @@ class TestFloatPath:
             ]
             x = a.word(factors, QQi(F(1, 3), F(1, 7)))
             exact = evaluate(state, x).to_complex()
-            numeric = evaluate_float(state, x)
+            numeric = evaluate(state, x, mode="float")
             assert abs(exact - numeric) < 1e-9
 
     @pytest.mark.parametrize("beta, state", [
@@ -474,16 +473,16 @@ class TestFloatPath:
                 a.word(inverse) + a.word(inverse[:2])
             )
             exact = evaluate(state, x).to_complex(beta_value)
-            numeric = evaluate_float(state, x, beta_value)
+            numeric = evaluate(state, x, mode="float", beta_value=beta_value)
             assert abs(exact - numeric) < 1e-9
 
     def test_inadmissible_scaling(self):
         # a moment off the isotropy subgroup makes the functional see the
         # gauge rotation: negative test in float mode
         a = TorusAlgebra(BETA_HALF)
-        state = ProductState(MomentSequence({0: 1, 1: 1.0}, exact=False))
+        state = ProductState(MomentSequence({0: 1, 1: 1.0}, mode="float"))
         with pytest.warns(UserWarning):
-            before = evaluate_float(state, a.u(0))
+            before = evaluate(state, a.u(0), mode="float")
         assert abs(before - 1) < 1e-12
 
 
@@ -537,4 +536,4 @@ class TestStateFileHardening:
     @pytest.mark.parametrize("text", ["abc", "1/0"])
     def test_float_mode_bad_rational_string(self, text):
         with pytest.raises(InputError, match="bad rational"):
-            state_from_json({"kind": "product", "moments": [[2, text, 0]]}, exact=False)
+            state_from_json({"kind": "product", "moments": [[2, text, 0]]}, mode="float")

@@ -200,7 +200,7 @@ class TestGauge:
         assert "whole circle" in report.budget
 
     def test_inadmissible_float_fails(self):
-        state = ProductState(MomentSequence({0: 1, 1: 1.0}, exact=False))
+        state = ProductState(MomentSequence({0: 1, 1: 1.0}, mode="float"))
         with pytest.warns(UserWarning):
             report = check_gauge_invariant(
                 state, BETA_HALF, mode="float", trials=20,
@@ -487,13 +487,22 @@ def test_random_pass_window_limit():
 
 
 @pytest.mark.parametrize("mode", ["Exact", "exakt", "FLOAT", ""])
-def test_unknown_mode_is_rejected(mode):
+def test_unknown_mode_is_rejected(mode, tmp_path):
     # a mode other than "exact" or "float" is an input error, not float arithmetic
     beta = canonicalize(1, 2)
     algebra = TorusAlgebra(beta)
     product = ProductState(MomentSequence({2: Fraction(1, 2)}))
     cesaro = CesaroState(1, product)
+    path = tmp_path / "trace.json"
+    path.write_text('{"kind": "trace"}')
     calls = [
+        lambda: evaluate(cesaro, algebra.u(0), mode=mode),
+        lambda: states.evaluate_word(cesaro, ((0, 2),), algebra, mode=mode),
+        lambda: states.clustering_gap(cesaro, algebra.u(0), algebra.u(0), 1, mode=mode),
+        lambda: states.validate_state(cesaro, beta, mode=mode),
+        lambda: states.state_from_json({"kind": "trace"}, mode=mode),
+        lambda: states.load_state(path, mode=mode),
+        lambda: MomentSequence({2: Fraction(1, 2)}, mode=mode),
         lambda: check_spreadable(cesaro, beta, trials=1, exhaustive=False, mode=mode),
         lambda: check_stationary(BlockProductState(1, product), beta, power=1, trials=0,
                                  mode=mode),
