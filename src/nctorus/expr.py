@@ -10,7 +10,8 @@ e(q) denotes e^(2*pi*i*q); E(m) denotes the symbolic e^(2*pi*i*m*beta),
 which the printer only emits for irrational beta (for rational beta it folds
 into an angle on input).  Parsing canonicalizes immediately: the result is a
 normal-ordered element, and printing emits one grammar term per (word,
-reduced phase) pair with words sorted, so parse(print(x)) == x.
+reduced phase) pair with words sorted, so parse(print(x)) == x.  Factors
+'(' and 'adj(' nest at most MAX_NESTING deep; deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from math import gcd
 from .algebra import Element, TorusAlgebra
 from .deformation import MAX_LEVEL, InputError
 from .scalars import PhaseCoefficient
+
+
+MAX_NESTING = 100  # '(' and 'adj(' levels
 
 
 class ParseError(InputError):
@@ -90,6 +94,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token], algebra: TorusAlgebra):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra
 
     def peek(self) -> _Token:
@@ -169,17 +174,23 @@ class _Parser:
                 return self.algebra.scalar(self.algebra.twist_phase(m))
             if tok.value == "adj":
                 self.advance()
-                self.expect("(")
-                inner = self.element()
-                self.expect(")")
-                return inner.adjoint()
+                return self.nested().adjoint()
             self.fail(f"unknown name {tok.value!r}")
         if tok.kind == "(":
-            self.advance()
-            inner = self.element()
-            self.expect(")")
-            return inner
+            return self.nested()
         self.fail(f"expected a term, found {tok.value or 'end of input'!r}")
+
+    def nested(self) -> Element:
+        """'(' element ')', at most MAX_NESTING deep, which keeps the
+        recursive descent well inside the interpreter's recursion limit."""
+        tok = self.expect("(")
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.column)
+        self.depth += 1
+        inner = self.element()
+        self.depth -= 1
+        self.expect(")")
+        return inner
 
     def generator(self) -> Element:
         self.expect("name")

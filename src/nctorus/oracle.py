@@ -2,7 +2,8 @@
 
 Contains the deliberately naive or numeric counterparts of the fast paths:
 an adjacent-transposition normal former, dense power-basis arithmetic in
-the cyclotomic field for phase sums, the literal average over all
+the cyclotomic field for phase sums, with its own dense descent to the
+conductor, the literal average over all
 2n+1 shifts for Cesaro states, divisibility scans and sieves for
 the isotropy generator, a finite clock-and-shift matrix model of the
 commutation relations, and exact (fraction LDL) or floating (eigensolve)
@@ -18,7 +19,7 @@ from math import lcm, pi
 from typing import TYPE_CHECKING
 
 from .algebra import Element, TorusAlgebra, Word, word_translate
-from .deformation import MAX_LEVEL, DeformationParameter, InputError
+from .deformation import MAX_LEVEL, DeformationParameter, InputError, factorize
 from .scalars import QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi, cyclotomic_polynomial
 from .states import (
     EXACT,
@@ -124,19 +125,36 @@ def _dense_is_zero(terms: dict[Fraction, Fraction]) -> bool:
 
 
 def _dense_reduce(bucket: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    terms = _dense_merge(bucket.items())
-    for _ in range(64):
-        if not terms:
-            return {}
-        level = lcm(*(q.denominator for q in terms))
-        if level == 1:
-            return terms
-        res = _dense_residue(_dense_vector(terms, level), level)
-        nxt = _dense_merge((Fraction(j, level), c) for j, c in enumerate(res) if c)
-        if nxt == terms:
-            return terms
-        terms = nxt
-    raise AssertionError("cyclotomic reduction did not stabilize")
+    """The bucket's residue modulo Phi_d at its conductor d, rewritten by
+    _dense_merge, found by a dense descent from L one prime p | L at a time.
+
+    If p**2 | L the residue at L/p is the residue at L read at the exponents
+    p*j, and the sum lies in Q(zeta_(L/p)) exactly when the residue at L
+    vanishes at every other exponent.  If p || L the exponents a split into
+    rows x_b over Q(zeta_(L/p)), b = a mod p, with zeta_L**a a power of
+    zeta_p times zeta_(L/p)**(a/p mod L/p); the sum lies there exactly when
+    rows 1..p-1 have equal residues, and equals x_0 - x_1 there.
+    """
+    level = lcm(*(q.denominator for q in bucket))
+    res = _dense_residue(_dense_vector(bucket, level), level)
+    for p, _ in factorize(level):
+        while level % p == 0:
+            rest = level // p
+            if rest % p == 0:
+                if any(c for j, c in enumerate(res) if j % p):
+                    break
+                res = res[::p]
+            else:
+                inv = pow(p, -1, rest)
+                rows = [[Fraction(0)] * rest for _ in range(p)]
+                for a, c in enumerate(res):
+                    rows[a % p][a * inv % rest] += c
+                rows = [_dense_residue(row, rest) for row in rows]
+                if any(row != rows[1] for row in rows[2:]):
+                    break
+                res = [c0 - c1 for c0, c1 in zip(rows[0], rows[1])]
+            level = rest
+    return _dense_merge((Fraction(j, level), c) for j, c in enumerate(res) if c)
 
 
 def brute_phase_is_zero(pc: PhaseCoefficient) -> bool:
@@ -145,11 +163,12 @@ def brute_phase_is_zero(pc: PhaseCoefficient) -> bool:
 
 
 def brute_phase_reduce(pc: PhaseCoefficient) -> PhaseCoefficient:
-    """Each symbolic bucket in the power basis, by dense reduction to a fixed point.
+    """Each symbolic bucket in the power basis at its conductor, by dense descent.
 
-    Each round reduces the length-L angle vector modulo Phi_L and rewrites
-    e(q) = -e(q + 1/2) for denominators of 2 mod 4; cost about
-    (L - phi(L)) * phi(L) per round.
+    Reduces the length-L angle vector modulo Phi_L once, at a cost of about
+    (L - phi(L)) * phi(L), then descends prime by prime on dense residues
+    (_dense_reduce) and rewrites e(q) = -e(q + 1/2) for denominators of
+    2 mod 4.
     """
     out = {}
     for m, bucket in _dense_buckets(pc).items():

@@ -5,15 +5,17 @@ e^(2*pi*i*(q + m*beta)) with q rational and m an integer.  m stays zero for
 rational beta (the twist folds into the angle) and is purely symbolic for
 irrational beta.  Sums of rational-angle phases can cancel without equal
 angles (all primitive L-th roots of unity sum to an integer), L the least
-common denominator of the angles.  Zero tests and Gaussian values work
-prime by prime on the terms present, at a cost in terms rather than in L;
-the canonical form that printing uses reduces into the integral power
-basis of the L-th cyclotomic field.
+common denominator of the angles.  Zero tests work prime by prime on the
+terms present, at a cost in terms rather than in L.  One descent, also in
+terms, finds the conductor d of a sum, the least d whose cyclotomic field
+holds it: the Gaussian value is read there when d is 1 or 4, and the
+canonical form that printing uses is the residue modulo Phi_d there.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,6 +160,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _add_into(out: dict, key, r) -> None:
+    """out[key] += r, dropping the entry when it cancels."""
+    acc = out.get(key)
+    acc = r if acc is None else acc + r
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
 def _buckets(terms: dict) -> dict[int, dict[Fraction, Fraction]]:
     """Angle terms {q: r} grouped by their symbolic power m."""
     buckets: dict[int, dict[Fraction, Fraction]] = {}
@@ -166,9 +178,9 @@ def _buckets(terms: dict) -> dict[int, dict[Fraction, Fraction]]:
     return buckets
 
 
-def _exponents(bucket: dict[Fraction, Fraction], level: int = 1):
-    """(L, {a: r}) with sum r*e(q) = sum r*zeta_L**a, L a multiple of level."""
-    level = lcm(level, *(q.denominator for q in bucket))
+def _exponents(bucket: dict[Fraction, Fraction]):
+    """(L, {a: r}) with sum r*e(q) = sum r*zeta_L**a, L the least common denominator."""
+    level = lcm(*(q.denominator for q in bucket))
     return level, {q.numerator * (level // q.denominator): r for q, r in bucket.items()}
 
 
@@ -222,44 +234,6 @@ def _angles_vanish(bucket: dict[Fraction, Fraction]) -> bool:
     return _vanishes(terms, level, factorize(level))
 
 
-def _mobius_over_phi(order: int, factors) -> Fraction:
-    """mu(order) / phi(order) for order dividing prod p**k over factors."""
-    sign, phi = 1, 1
-    for p, _ in factors:
-        if order % p == 0:
-            order //= p
-            if order % p == 0:
-                return _F0
-            sign, phi = -sign, phi * (p - 1)
-    return Fraction(sign, phi)
-
-
-def _gaussian_value(bucket: dict[Fraction, Fraction]) -> QQi | None:
-    """sum r*e(q) as a Gaussian rational, or None when it is not one.
-
-    At N = lcm(L, 4) a Gaussian v = re + i*im has Tr(v) = phi(N)*re and
-    Tr(-i*v) = phi(N)*im, and Tr zeta_N**a = phi(N) * mu(d) / phi(d) for d the
-    order of zeta_N**a (Ramanujan's sum).  The candidate is accepted when
-    v - re - i*im vanishes.
-    """
-    if not bucket:
-        return QQI_ZERO
-    level, terms = _exponents(bucket, 4)
-    factors = factorize(level)
-    quarter = level // 4
-    re = im = _F0
-    for a, r in terms.items():
-        re += r * _mobius_over_phi(level // gcd(a, level), factors)
-        im += r * _mobius_over_phi(level // gcd(a - quarter, level), factors)
-    for a, r in ((0, re), (quarter, im)):
-        acc = terms.get(a, 0) - r
-        if acc:
-            terms[a] = acc
-        else:
-            terms.pop(a, None)
-    return QQi(re, im) if _vanishes(terms, level, factors) else None
-
-
 def _half_turn(terms: dict[int, int], level: int) -> dict[int, int]:
     """n*zeta**a = -n*zeta**(a + level/2) wherever a/level has a denominator
     of 2 mod 4, that is where a has one factor 2 less than level."""
@@ -270,39 +244,50 @@ def _half_turn(terms: dict[int, int], level: int) -> dict[int, int]:
     for a, n in terms.items():
         if a % half == half >> 1:
             a, n = (a + level // 2) % level, -n
-        acc = out.get(a, 0) + n
-        if acc:
-            out[a] = acc
-        else:
-            out.pop(a, None)
+        _add_into(out, a, n)
     return out
 
 
-def _reduce_angles(bucket: dict[Fraction, Fraction]) -> tuple[int, int, list[tuple[int, int]]]:
-    """Integer canonical form (L, den, [(a, n)] by a) of sum r*e(q), which
-    is sum (n/den) * zeta_L**a.
+def _conductor(bucket: dict[Fraction, Fraction]) -> tuple[int, dict[int, Fraction]]:
+    """(d, {a: r}) with sum r*e(q) = sum r*zeta_d**a over nonzero r, d the
+    conductor: the least d whose cyclotomic field Q(zeta_d) holds the sum.
 
-    A level descent: rewrite by _half_turn, divide out a factor that every
-    exponent shares with L, and reduce once modulo Phi_L into the exponents
-    below phi(L).  A residue whose exponents share a factor with L descends
-    again; any other, rewritten once more, is the canonical form, since the
-    residue of that rewrite is the residue itself.  Each descent lowers L.
+    Descends from L one prime p | L at a time while one _vanishes call finds
+    the sum equal to its projection onto Q(zeta_(L/p)), the relative trace
+    over its degree.  Where p**2 | L, or p || L and a class b != 0 of
+    exponents mod p is empty, the classes b != 0 must vanish one by one (a
+    single term never does), and the projection keeps the terms with p | a,
+    at a/p.  Otherwise zeta_L**a = zeta_p**b * zeta_(L/p)**c, c = a/p mod
+    L/p, and zeta_p**b becomes 1 for b = 0 and -1/(p-1) else, with no test
+    for p = 2 (degree 1).  A prime that fails once fails at every lower
+    level, and Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), so one pass
+    over the primes of L ends at the conductor.
     """
-    den = lcm(*(r.denominator for r in bucket.values()))
-    level = lcm(*(q.denominator for q in bucket))
-    terms = _half_turn({q.numerator * (level // q.denominator): r.numerator * (den // r.denominator)
-                        for q, r in bucket.items()}, level)
-    residue = False
-    while terms:
-        step = gcd(level, *terms)
-        if step > 1:
-            level //= step
-            terms, residue = {a // step: n for a, n in terms.items()}, False
-        elif residue or level == 1:
-            break
-        else:
-            terms, residue = _half_turn(_power_basis(terms, level), level), True
-    return level, den, sorted(terms.items())
+    level, terms = _exponents(bucket)
+    powers = dict(factorize(level))
+    for p in list(powers):
+        while powers[p] and terms:
+            rest = level // p
+            classes = Counter(a % p for a in terms if a % p)
+            if powers[p] > 1 or len(classes) < p - 1:
+                if 1 in classes.values():
+                    break
+                proj = {a // p: r for a, r in terms.items() if a % p == 0}
+                diff = {a: r for a, r in terms.items() if a % p}
+            else:
+                inv, share = pow(p, -1, rest), Fraction(-1, p - 1)
+                proj = {}
+                for a, r in terms.items():
+                    _add_into(proj, a * inv % rest, r if a % p == 0 else r * share)
+                diff = dict(terms)
+                for c, r in proj.items():
+                    _add_into(diff, c * p, -r)
+            if diff and (p > 2 or powers[p] > 1) and not _vanishes(
+                    diff, level, tuple((q, k) for q, k in powers.items() if k)):
+                break
+            level, terms = rest, proj
+            powers[p] -= 1
+    return (level, terms) if terms else (1, {})
 
 
 def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
@@ -518,10 +503,22 @@ class PhaseCoefficient:
     __hash__ = None
 
     def canonical_form(self) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
-        """(m, L, den, [(a, n)] by a) per symbolic bucket by m: the bucket of
-        E(m) is sum (n/den) * e(a/L) in its cyclotomic power basis."""
+        """(m, d, den, [(a, n)] by a) per nonzero symbolic bucket by m: the
+        bucket of E(m) is sum (n/den) * e(a/d), d its conductor and the terms
+        its residue modulo Phi_d rewritten by _half_turn, in lowest terms."""
+        out = []
         buckets = _buckets(self._terms)
-        return [(m, *_reduce_angles(buckets[m])) for m in sorted(buckets)]
+        for m in sorted(buckets):
+            level, terms = _conductor(buckets[m])
+            if terms:
+                den = lcm(*(r.denominator for r in terms.values()))
+                ints = _half_turn(_power_basis({a: r.numerator * (den // r.denominator)
+                                                for a, r in terms.items()}, level), level)
+                g = gcd(den, *ints.values())
+                if g > 1:
+                    ints = {a: n // g for a, n in ints.items()}
+                out.append((m, level, den // g, sorted(ints.items())))
+        return out
 
     def reduce(self) -> PhaseCoefficient:
         """Canonical form: each symbolic bucket in its cyclotomic power basis."""
@@ -539,10 +536,12 @@ class PhaseCoefficient:
     def to_qqi(self) -> QQi | None:
         """The value as a Gaussian rational, or None when it is not one."""
         buckets = _buckets(self._terms)
-        for m, bucket in buckets.items():
-            if m != 0 and not _angles_vanish(bucket):
-                return None
-        return _gaussian_value(buckets.get(0, {}))
+        if any(m and not _angles_vanish(bucket) for m, bucket in buckets.items()):
+            return None
+        level, terms = _conductor(buckets.get(0, {}))
+        if level not in (1, 4):  # the conductors of Q and Q(i), where zeta**a is 1, i, -1, -i
+            return None
+        return QQi(terms.get(0, _F0) - terms.get(2, _F0), terms.get(1, _F0) - terms.get(3, _F0))
 
     def to_rational(self) -> Fraction | None:
         z = self.to_qqi()

@@ -137,6 +137,14 @@ GOLDEN = [
                    "u[-1]", "gauge angle 1/2",
                    "(0.5+0j)", "(-0.5+6.123233995736766e-17j)"),
     ),
+    (
+        # an exhaustive failure on a stationary state: pins the case count
+        # at which the checker meets the first index map that moves a value
+        check_spreadable, cesaro_mixture, BETA_HALF, dict(trials=20),
+        fail_lines("spreadable", f"cesaro(n=1, base={MIXTURE})",
+                   f"{MAPS}; trials: 20", 973, 0,
+                   "u[-1]^-2*u[0]^-2", "theta_0", "5/27", "4/27"),
+    ),
 ]
 
 

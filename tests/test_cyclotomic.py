@@ -4,7 +4,7 @@ cost in terms rather than in level, and the level limit."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nctorus import (PhaseCoefficient, QQi, TorusAlgebra, canonicalize, cyclotomic_polynomial,
                      factorize, format_element, parse, scalars)
@@ -72,6 +72,25 @@ def test_matches_dense_reference_at_smooth_1155():
            ((F(1, 3), 1), F(1)), ((F(2, 3), 1), F(1)), ((F(0), 1), F(1))]
     )
     assert_matches_reference(pc)
+
+
+# zero relations sum_{j<p} r*e(c + j/p), times E(m)
+zero_relations = st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]),
+                                    st.fractions(min_value=0, max_value=1, max_denominator=12),
+                                    weights, st.sampled_from([0, 0, 0, 1])),
+                          min_size=1, max_size=3)
+
+
+@given(phase_sums(), zero_relations)
+@example(PhaseCoefficient.unit_angle(F(4, 5)), [(3, F(0), F(1), 0)])
+@settings(max_examples=300, deadline=None)
+def test_equal_values_print_equal(x, relations):
+    # the printed form is canonical: it is read at the conductor, the least
+    # level whose cyclotomic field holds the value
+    y = x + PhaseCoefficient([((c + F(j, p), m), r) for p, c, r, m in relations for j in range(p)])
+    assert x == y
+    assert str(x) == str(y)
+    assert x.canonical_form() == y.canonical_form()
 
 
 @pytest.mark.parametrize("level", [100003, 1000003])

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nctorus import (
     IRRATIONAL,
@@ -22,7 +22,7 @@ from nctorus import (
 )
 import nctorus
 from nctorus.cli import main
-from nctorus.expr import ParseError, format_complex
+from nctorus.expr import MAX_NESTING, ParseError, format_complex
 
 F = Fraction
 BETA = canonicalize(1, 4)
@@ -558,10 +558,15 @@ def test_cli_import_leaves_numpy_unloaded(state_files):
 # short text over the expression alphabet: generators, punctuation, the
 # phase name e, a stray letter, digits and spaces
 EXPRESSION_TEXT = st.text(alphabet="u[]^()*+-/ei0123456789 ", max_size=16)
+# nesting far past the recursion limit of a recursive descent
+DEEP_PARENS = "(" * 1000 + "u[0]" + ")" * 1000
+DEEP_ADJ = "adj(" * 1000 + "u[0]" + ")" * 1000
 
 
 @settings(max_examples=300, deadline=None)
 @given(EXPRESSION_TEXT)
+@example(DEEP_PARENS)
+@example(DEEP_ADJ)
 def test_parse_returns_or_raises_input_error(text):
     try:
         parse(text, TorusAlgebra(canonicalize(1, 2)))
@@ -571,8 +576,19 @@ def test_parse_returns_or_raises_input_error(text):
 
 @settings(max_examples=300, deadline=None)
 @given(EXPRESSION_TEXT)
+@example(DEEP_PARENS)
+@example(DEEP_ADJ)
 def test_normal_form_cli_exit_code_contract(text):
     assert main(["normal-form", "--alpha", "1/2", text]) in (0, 2)
+
+
+def test_nesting_limit():
+    algebra = TorusAlgebra(canonicalize(1, 2))
+    u0 = parse("u[0]", algebra)
+    for opener in ("(", "adj("):
+        assert parse(opener * MAX_NESTING + "u[0]" + ")" * MAX_NESTING, algebra) == u0
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse(opener * (MAX_NESTING + 1) + "u[0]" + ")" * (MAX_NESTING + 1), algebra)
 
 
 NINES = "9" * 3000  # products of two such literals have 6000 digits

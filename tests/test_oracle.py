@@ -1,7 +1,9 @@
 """Oracle tests: brute normal forms, divisibility scans, matrix model, PSD."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from nctorus import (
     normal_form,
     toeplitz_psd,
 )
+from nctorus import oracle
 from nctorus.algebra import word_translate
 from nctorus.deformation import InputError
 from nctorus.oracle import _quadratic_form
@@ -443,3 +446,27 @@ class TestGram:
         assert not verdict.is_psd
         assert verdict.min_eigenvalue < -1e-6
         assert abs(verdict.min_eigenvalue - (1 - 2**0.5)) < 1e-9
+
+
+def private_scalars_uses(source: str) -> list[str]:
+    """Underscore names that the source imports from scalars or reads off it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "scalars":
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name == "scalars":
+                found.append(node.attr)
+    return found
+
+
+def test_oracle_stays_independent_of_the_scalar_kernel():
+    # the dense references check the sparse kernel, so they must not call it
+    assert private_scalars_uses(Path(oracle.__file__).read_text()) == []
+    assert private_scalars_uses("from .scalars import QQi, _conductor\n"
+                                "from . import scalars\n"
+                                "x = scalars._vanishes\n"
+                                "y = nctorus.scalars._power_basis\n") == [
+        "_conductor", "_vanishes", "_power_basis"]
