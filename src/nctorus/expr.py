@@ -19,7 +19,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, repeat
 from math import gcd
+from operator import itemgetter
 
 from .algebra import Element, TorusAlgebra
 from .deformation import MAX_LEVEL, InputError
@@ -246,8 +248,9 @@ def format_word(word) -> str:
 def format_terms(pairs) -> str:
     """Grammar text of sum c*w over (word w, PhaseCoefficient c) pairs: terms
     by word, symbolic power and exponent from the integer canonical forms, in
-    one signed join.  An integer longer than the interpreter prints is an
-    InputError."""
+    one signed join.  A run of terms of equal weight whose exponents are all
+    prime to the level is written by one join over its exponents.  An integer
+    longer than the interpreter prints is an InputError."""
     forms = [(word, coeff.canonical_form()) for word, coeff in pairs]
     out: list[str] = []
     try:
@@ -255,11 +258,21 @@ def format_terms(pairs) -> str:
             text = f"*{format_word(word)}" if word else ""
             for m, level, den, terms in form:
                 tail = f"*E({m}){text}" if m else text
-                weights = {n: str(Fraction(abs(n), den)) for n in {n for _, n in terms}}
-                for a, n in terms:
-                    g = gcd(a, level)
-                    rest = f"*e({a // g}/{level // g}){tail}" if a else tail
-                    out += (" - " if n < 0 else " + ", rest[1:] if n == den and rest else weights[n] + rest)
+                close = f"/{level}){tail}"
+                weights = {n: str(Fraction(abs(n), den)) for n in set(map(itemgetter(1), terms))}
+                for n, run in groupby(terms, itemgetter(1)):
+                    sign = " - " if n < 0 else " + "
+                    weight = weights[n]
+                    head = "e(" if n == den else weight + "*e("
+                    exps = list(map(itemgetter(0), run))
+                    # a level-1 form is the one term e(0), which is not written e(0/1)
+                    if len(exps) > 1 and max(map(gcd, exps, repeat(level))) == 1:
+                        out += (sign, head + (close + sign + head).join(map(str, exps)) + close)
+                        continue
+                    for a in exps:
+                        g = gcd(a, level)
+                        out += (sign, f"{head}{a // g}/{level // g}){tail}" if a else
+                                tail[1:] if n == den and tail else weight + tail)
     except ValueError:
         raise InputError("printed integer above the limit of "
                          f"{sys.get_int_max_str_digits()} digits") from None

@@ -19,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from itertools import accumulate, compress
 from math import gcd, lcm, pi
+from operator import add, sub
 
 from .deformation import MAX_LEVEL, InputError, factorize
 
@@ -119,6 +120,48 @@ QQI_ONE = QQi(_F1, _F0)
 QQI_I = QQi(_F0, _F1)
 
 
+def _times_one_minus(c: list[int], d: int) -> None:
+    """c *= 1 - y**d as a power series truncated at len(c), in place."""
+    c[d:] = map(sub, c[d:], c[:-d])
+
+
+def _over_one_minus(c: list[int], d: int) -> None:
+    """c /= 1 - y**d as a power series truncated at len(c), in place: running
+    sums with stride d, one slice per residue class mod d, or per chunk of d
+    when there are fewer chunks than classes."""
+    n = len(c)
+    if d * d <= n:
+        for r in range(d):
+            c[r::d] = accumulate(c[r::d])
+    else:
+        for i in range(d, n, d):
+            c[i:i + d] = map(add, c[i:i + d], c[i - d:i])
+
+
+def _mobius_divisors(primes) -> list[tuple[int, int]]:
+    """(d, mu(rad/d)) over the divisors d of the squarefree rad > 1 with these
+    primes: Phi_rad(y) = prod (1 - y**d)**mu(rad/d), a power series identity.
+    Each d comes next to d*p for the first prime p, which keeps the
+    coefficients of the partial products small."""
+    divisors = [(1, 1)]
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    if len(primes) % 2:
+        divisors = [(d, -mu) for d, mu in divisors]
+    return divisors
+
+
+def _times_phi(c: list[int], divisors, power: int) -> None:
+    """c *= Phi_rad**power (power 1 or -1) truncated at len(c), in place, for
+    the _mobius_divisors of rad: one helper pass per divisor below len(c)."""
+    for d, mu in divisors:
+        if d < len(c):
+            if mu == power:
+                _times_one_minus(c, d)
+            else:
+                _over_one_minus(c, d)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
@@ -129,35 +172,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     primes = [p for p, _ in factorize(n)]
-    rad = 1
+    rad = deg = 1
     for p in primes:
         rad *= p
-    if rad != n:
-        # Phi_n(x) = Phi_rad(x**(n/rad)) for rad the squarefree kernel of n
-        stride = n // rad
-        out = [0] * ((len(cyclotomic_polynomial(rad)) - 1) * stride + 1)
-        for j, c in enumerate(cyclotomic_polynomial(rad)):
-            out[j * stride] = c
-        return tuple(out)
-    # squarefree n > 1: Phi_n = prod over d | n of (1 - x**d)**mu(n/d), a
-    # power series identity that is exact once truncated past degree phi(n)
-    deg = 1
-    for p in primes:
         deg *= p - 1
+    # the product form is exact once truncated past degree phi(rad)
     poly = [1] + [0] * deg
-    divisors = [(1, 1)]  # (d, mu(n/d) * mu(n)) built up prime by prime
-    for p in primes:
-        divisors += [(d * p, -sign) for d, sign in divisors]
-    if len(primes) % 2:
-        divisors = [(d, -sign) for d, sign in divisors]
-    for d, sign in divisors:
-        if sign > 0:  # times (1 - x**d)
-            for i in range(deg, d - 1, -1):
-                poly[i] -= poly[i - d]
-        else:  # divided by (1 - x**d): running sums with stride d
-            for i in range(d, deg + 1):
-                poly[i] += poly[i - d]
-    return tuple(poly)
+    _times_phi(poly, _mobius_divisors(primes), 1)
+    # Phi_n(x) = Phi_rad(x**(n/rad)) for rad the squarefree kernel of n
+    out = [0] * (deg * (n // rad) + 1)
+    out[::n // rad] = poly
+    return tuple(out)
 
 
 def _add_into(out: dict, key, r) -> None:
@@ -291,16 +316,22 @@ def _conductor(bucket: dict[Fraction, Fraction]) -> tuple[int, dict[int, Fractio
 
 
 def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
-    """Remainder of sum n * x**a modulo Phi_level, by sparse division from
-    the nearer end.
+    """Remainder of sum n * x**a modulo Phi_level, read from the nearer end.
 
-    An exponent a at or above phi(level) that is nearer level than phi(level)
-    is read as x**(a - level) and walked upward from the lowest:
-    x**-1 = -sum_{j>=1} c_j x**(j-1) over the coefficients c_j of Phi_level,
-    with c_0 = 1, so x**(level-1) costs one pass.  The others are walked
-    downward from the top, as long division.  Both walks touch only the
-    nonzero coefficients of Phi_level = Phi_rad(x**(level/rad)), rad the
-    squarefree kernel of level.
+    Phi_level(x) = Phi_rad(y) for y = x**s, s = level/rad and rad the
+    squarefree kernel of level, so each class a = s*j + r, r < s, is a
+    polynomial in y reduced on its own modulo Phi_rad, of degree
+    D = phi(rad).  An exponent j >= D nearer D than rad gets k = j - D + 1;
+    the others are read as y**-k, k = rad - j, as y**rad = 1 modulo Phi_rad.
+    On each side, with H = sum n * y**(K-k), K the largest k, and
+    q = H/Phi_rad mod y**K, P = reverse(q) * Phi_rad mod y**D is subtracted
+    from the remainder:
+    - near D, H is the reverse of those terms and reverse(q) the quotient of
+      their long division, as Phi_rad is palindromic;
+    - near rad, y**K times the remainder is H - q*Phi_rad, whose top D
+      coefficients are those of -P read backward, so P is subtracted reversed.
+    Each quotient and product is one pass per divisor of rad (_times_phi),
+    so a class costs O(2**omega(rad) * (K + D)) wherever its exponents lie.
     """
     factors = factorize(level)
     rad = deg = 1
@@ -309,34 +340,40 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
         deg *= p ** (k - 1) * (p - 1)
     if all(a < deg for a in terms):
         return terms
-    stride = level // rad
-    coeffs = [(j * stride, c) for j, c in enumerate(cyclotomic_polynomial(rad)) if c]
-    work, down, up = dict(terms), [], []
-    for a in terms:
-        if a >= deg and level - a <= a - deg:
-            work[a - level] = work.pop(a)
-            up.append(a - level)
-        elif a >= deg:
-            down.append(-a)
-    # x**t = x**(t - deg) * (x**deg - Phi) and x**b = x**(b + 1) * x**-1
-    for heap, sign, shift, tail in ((down, -1, -deg, coeffs[:-1]), (up, 1, 0, coeffs[1:])):
-        heapify(heap)
-        while heap:
-            top = sign * heappop(heap)
-            n = work.pop(top)
-            if not n:
-                continue
-            base = top + shift
-            for j, c in tail:
-                e = base + j
-                prev = work.get(e)
-                if prev is None:
-                    work[e] = -n * c
-                    if not 0 <= e < deg:
-                        heappush(heap, sign * e)
-                else:
-                    work[e] = prev - n * c
-    return {a: n for a, n in work.items() if n}
+    if rad > MAX_LEVEL:
+        raise InputError(f"cyclotomic level {rad} exceeds the limit {MAX_LEVEL}")
+    stride, width = level // rad, deg * rad // level
+    divisors = _mobius_divisors([p for p, _ in factors])
+    classes: dict[int, dict[int, int]] = {}
+    for a, n in terms.items():
+        classes.setdefault(a % stride, {})[a // stride] = n
+    out: dict[int, int] = {}
+    for r, cls in classes.items():
+        if all(j < width for j in cls):
+            out.update((j * stride + r, n) for j, n in cls.items())
+            continue
+        rem = [0] * width
+        near_d, near_rad = {}, {}
+        for j, n in cls.items():
+            if j < width:
+                rem[j] = n
+            elif rad - j > j - width:
+                near_d[j - width + 1] = n
+            else:
+                near_rad[rad - j] = n
+        for side, backward in ((near_d, False), (near_rad, True)):
+            if side:
+                high = max(side)
+                q = [0] * high
+                for k, n in side.items():
+                    q[high - k] = n
+                _times_phi(q, divisors, -1)
+                q = q[::-1][:width]
+                q += [0] * (width - len(q))
+                _times_phi(q, divisors, 1)
+                rem = list(map(sub, rem, q[::-1] if backward else q))
+        out.update(compress(zip(range(r, deg, stride), rem), rem))
+    return out
 
 
 class PhaseCoefficient:

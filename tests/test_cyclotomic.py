@@ -1,6 +1,8 @@
 """Sparse cyclotomic kernel: differential tests against the dense reference,
 cost in terms rather than in level, and the level limit."""
 
+import cmath
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,90 @@ def test_inverse_root_is_one_pass_over_phi():
     pc = PhaseCoefficient({(F(level - 1, level), 0): 1})
     assert pc.reduce()._terms == inverse
     assert str(pc) == str(PhaseCoefficient._make(inverse))
+
+
+MIDDLE_LEVELS = [105, 315, 420, 1155, 2 ** 7, 3 ** 5, 4620]
+big_weights = st.one_of(weights, st.integers(-10 ** 40, 10 ** 40).filter(bool),
+                        st.builds(F, st.integers(-10 ** 40, 10 ** 40).filter(bool),
+                                  st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def spread_sums(draw):
+    """Sums at one level with exponents anywhere in [0, L): near phi(L), near
+    L, half-way between them, and uniform, with big-integer weights."""
+    level = draw(st.sampled_from(MIDDLE_LEVELS))
+    deg = len(cyclotomic_polynomial(level)) - 1
+
+    def near(c):
+        return st.integers(max(0, c - 3), min(level - 1, c + 3))
+
+    exponents = st.one_of(st.integers(0, level - 1), near(deg), near(level - 1),
+                          near((deg + level) // 2))
+    terms = draw(st.lists(st.tuples(exponents, big_weights), min_size=1, max_size=6))
+    return PhaseCoefficient([((F(a, level), 0), r) for a, r in terms])
+
+
+@given(spread_sums())
+@example(PhaseCoefficient({(F(2791, 4620), 0): 10 ** 40 + 1, (F(4619, 4620), 0): F(-3, 2),
+                           (F(961, 4620), 0): 1}))
+@settings(max_examples=30, deadline=None)
+def test_exponents_anywhere_match_dense_reference(pc):
+    ref = brute_phase_reduce(pc)
+    assert pc.reduce()._terms == ref._terms
+    assert str(pc) == str(ref)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # x**n - 1 = prod over d | n of Phi_d determines every Phi_n
+    for n in [*range(1, 61), 105, 128, 210, 243, 315, 420, 1155]:
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, a in enumerate(product):
+                    if a:
+                        for j, b in enumerate(phi):
+                            out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (n - 1) + [1], n
+
+
+def printed_value(text):
+    """Float value of printed phase-sum text, term by term."""
+    parts = re.split(r" ([+-]) ", text)
+    signs = ["-" if parts[0].startswith("-") else "+"] + parts[1::2]
+    total = 0j
+    for sign, term in zip(signs, [parts[0].lstrip("-")] + parts[2::2]):
+        weight, num, den = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*?)?(?:e\((\d+)/(\d+)\))?", term).groups()
+        value = float(F(weight or 1)) * (cmath.exp(2j * cmath.pi * int(num) / int(den)) if num else 1)
+        total += -value if sign == "-" else value
+    return total
+
+
+@pytest.mark.parametrize("pc, level", [
+    (PhaseCoefficient({(F(30029, 30030), 0): 1, (F(0), 0): 2}), 15015),  # exponent 7507
+    (PhaseCoefficient({(F(170003, 255255), 0): 1}), 255255),
+], ids=["30029/30030+2", "170003/255255"])
+def test_middle_exponent_costs_passes_per_class(pc, level, monkeypatch):
+    # a squarefree level has one residue class, which takes one quotient and
+    # one product by Phi_level: a pass per divisor each, wherever the exponent
+    def refuse(n):
+        raise AssertionError(f"the reduction built Phi_{n}")
+
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
+    passes = []
+    for name in ("_times_one_minus", "_over_one_minus"):
+        def counted(c, d, helper=getattr(scalars, name)):
+            passes.append(d)
+            helper(c, d)
+        monkeypatch.setattr(scalars, name, counted)
+    assert [f[1] for f in pc.canonical_form()] == [level]
+    passes.clear()
+    text = str(pc)
+    assert 0 < len(passes) <= 2 * 2 ** len(factorize(level))
+    assert abs(printed_value(text) - pc.to_complex()) < 1e-8
 
 
 def reference_format(x):

@@ -607,6 +607,15 @@ def test_oversized_printed_integer_exits_2_before_any_output(capsys, state_files
     assert "printed integer above the limit" in err
 
 
+def test_cyclotomic_level_limit_exits_2_before_any_output(capsys):
+    # the sum lies in no smaller field than that of the product of the two
+    # primes, about 1.1e12, whose power basis would have as many entries
+    code, out, err = run_cli(capsys, ["normal-form", "--alpha", "1/2",
+                                      "e(1048572/1048573) + e(1/1048571)"])
+    assert (code, out) == (2, "")
+    assert "exceeds the limit" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--alpha", "1/2", "--state", "@trace", "9" * 400],  # float of the value
     ["oracle", "trace", "--alpha", "1/2", f"{NINES}*{NINES}"],  # matrix-model sum
