@@ -18,8 +18,9 @@ class InputError(ValueError):
 
 
 # Largest cyclotomic level accepted from input: the denominator of beta or
-# of an angle e(p/q).  Factoring stays fast below it, and so does building
-# the cyclotomic polynomial that printing reduces by.
+# of an angle e(p/q).  Factoring stays fast below it, and so does printing's
+# reduction modulo Phi_L: its lists are shorter than rad(L), the squarefree
+# kernel of L, and a rad(L) above this limit is refused.
 MAX_LEVEL = 1 << 20
 
 

@@ -321,8 +321,9 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
     Phi_level(x) = Phi_rad(y) for y = x**s, s = level/rad and rad the
     squarefree kernel of level, so each class a = s*j + r, r < s, is a
     polynomial in y reduced on its own modulo Phi_rad, of degree
-    D = phi(rad).  An exponent j >= D nearer D than rad gets k = j - D + 1;
-    the others are read as y**-k, k = rad - j, as y**rad = 1 modulo Phi_rad.
+    D = phi(rad), the width of its remainder.  An exponent j >= D nearer D
+    than rad gets k = j - D + 1; the others are read as y**-k, k = rad - j,
+    as y**rad = 1 modulo Phi_rad.
     On each side, with H = sum n * y**(K-k), K the largest k, and
     q = H/Phi_rad mod y**K, P = reverse(q) * Phi_rad mod y**D is subtracted
     from the remainder:
@@ -353,15 +354,15 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
             out.update((j * stride + r, n) for j, n in cls.items())
             continue
         rem = [0] * width
-        near_d, near_rad = {}, {}
+        near_phi, near_rad = {}, {}
         for j, n in cls.items():
             if j < width:
                 rem[j] = n
             elif rad - j > j - width:
-                near_d[j - width + 1] = n
+                near_phi[j - width + 1] = n
             else:
                 near_rad[rad - j] = n
-        for side, backward in ((near_d, False), (near_rad, True)):
+        for side, backward in ((near_phi, False), (near_rad, True)):
             if side:
                 high = max(side)
                 q = [0] * high
