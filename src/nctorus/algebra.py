@@ -254,11 +254,7 @@ class Element:
             return False
         if self._terms.keys() != other._terms.keys():
             return False
-        for w, c in self._terms.items():
-            oc = other._terms[w]
-            if c._terms != oc._terms and not (c - oc).is_zero():
-                return False
-        return True
+        return all(c == other._terms[w] for w, c in self._terms.items())
 
     __hash__ = None
 

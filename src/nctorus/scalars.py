@@ -117,7 +117,6 @@ class QQi:
 
 QQI_ZERO = QQi(_F0, _F0)
 QQI_ONE = QQi(_F1, _F0)
-QQI_I = QQi(_F0, _F1)
 
 
 def _times_one_minus(c: list[int], d: int) -> None:
@@ -242,11 +241,7 @@ def _vanishes(terms: dict, level: int, factors) -> bool:
         for x in xs[1:]:
             diff = dict(x)
             for a, r in base.items():
-                acc = diff.get(a, 0) - r
-                if acc:
-                    diff[a] = acc
-                else:
-                    diff.pop(a, None)
+                _add_into(diff, a, -r)
             if not _vanishes(diff, rest, factors):
                 return False
     return True
@@ -394,14 +389,8 @@ class PhaseCoefficient:
             items = terms.items() if isinstance(terms, dict) else terms
             for (q, m), r in items:
                 r = _as_fraction(r)
-                if not r:
-                    continue
-                key = (_as_fraction(q) % 1, m)
-                acc = merged.get(key, _F0) + r
-                if acc:
-                    merged[key] = acc
-                elif key in merged:
-                    del merged[key]
+                if r:
+                    _add_into(merged, (_as_fraction(q) % 1, m), r)
         self._terms = merged
 
     @classmethod
@@ -476,11 +465,7 @@ class PhaseCoefficient:
             return self
         out = dict(self._terms)
         for key, r in other._terms.items():
-            acc = out.get(key, _F0) + r
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            _add_into(out, key, r)
         return PhaseCoefficient._make(out)
 
     __radd__ = __add__
@@ -514,12 +499,7 @@ class PhaseCoefficient:
         out: dict[tuple[Fraction, int], Fraction] = {}
         for (q1, m1), r1 in self._terms.items():
             for (q2, m2), r2 in other._terms.items():
-                key = ((q1 + q2) % 1, m1 + m2)
-                acc = out.get(key, _F0) + r1 * r2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                _add_into(out, ((q1 + q2) % 1, m1 + m2), r1 * r2)
         return PhaseCoefficient._make(out)
 
     __rmul__ = __mul__

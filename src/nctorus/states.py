@@ -57,6 +57,8 @@ class MomentSequence:
         cleaned: dict[int, object] = {}
         for l, v in moments.items():
             value = field.moment(v)
+            if value != value:  # NaN, which no modulus bound catches
+                raise InputError(f"moment at {l} is not a number")
             if value != zero:
                 cleaned[int(l)] = value
         if 0 not in cleaned:
@@ -64,19 +66,10 @@ class MomentSequence:
         elif not field.equal(cleaned[0], field.moment_one):
             raise InputError("the zeroth moment of a state must be 1")
         for l in sorted(cleaned):
-            if l <= 0:
-                continue
-            mirror = cleaned[l].conjugate()
-            if -l in cleaned:
-                if not field.equal(cleaned[-l], mirror):
-                    raise InputError(
-                        f"moments at {l} and {-l} are not conjugate"
-                    )
-            else:
-                cleaned[-l] = mirror
-        for l in sorted(cleaned):
-            if l < 0 and -l not in cleaned:
+            if -l not in cleaned:
                 cleaned[-l] = cleaned[l].conjugate()
+            elif l > 0 and not field.equal(cleaned[-l], cleaned[l].conjugate()):
+                raise InputError(f"moments at {l} and {-l} are not conjugate")
         for l, v in cleaned.items():
             if field.exceeds_one(v):
                 raise InputError(f"moment at {l} exceeds modulus 1")

@@ -148,8 +148,16 @@ GOLDEN = [
 ]
 
 
+def case_id(case):
+    """checker-state-beta-options, which stays put when rows are added."""
+    checker, make_state, beta, options = case[:4]
+    opts = ",".join(f"{k}={v}" for k, v in options.items())
+    return f"{checker.__name__}-{make_state.__name__}-{beta}-{opts}"
+
+
 @pytest.mark.filterwarnings("ignore:moments supported outside")
-@pytest.mark.parametrize("checker, make_state, beta, options, expected", GOLDEN)
+@pytest.mark.parametrize("checker, make_state, beta, options, expected", GOLDEN,
+                         ids=[case_id(case) for case in GOLDEN])
 def test_fail_report_lines(checker, make_state, beta, options, expected):
     report = checker(make_state(), beta, **WORDS, **options)
     assert report.lines() == expected
@@ -177,7 +185,8 @@ PASSES = [
 @pytest.mark.filterwarnings("ignore:moments supported outside")
 @pytest.mark.parametrize("cap", [0, 3])
 @pytest.mark.parametrize("checker, make_state, beta, options",
-                         [case[:4] for case in GOLDEN] + PASSES)
+                         [case[:4] for case in GOLDEN] + PASSES,
+                         ids=[case_id(case) for case in GOLDEN + PASSES])
 def test_value_cache_cap_keeps_reports(monkeypatch, cap, checker, make_state, beta, options):
     expected = checker(make_state(), beta, **WORDS, **options).lines()
     monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", cap)

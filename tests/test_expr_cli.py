@@ -711,6 +711,23 @@ def test_state_file_eval_exit_code_contract(capsys, tmp_path, obj, mode, expr):
     assert code in (0, 1, 2)
 
 
+@pytest.mark.parametrize("nan_row", [[2, "NaN", 0], [2, 0, "NaN"]], ids=["re", "im"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--alpha", "1/2", "--mode", "float", "u[0]^2"],
+    ["check", "spreadable", "--alpha", "1/2", "--mode", "float", "--trials", "5"],
+    ["check", "gauge", "--alpha", "1/2", "--mode", "float", "--trials", "5"],
+    ["oracle", "psd", "--alpha", "1/2", "--mode", "float"],
+], ids=["eval", "check-spreadable", "check-gauge", "oracle-psd"])
+def test_nan_moment_state_file_is_bad_input(capsys, tmp_path, nan_row, command):
+    # json reads NaN; the state file is refused before any value is printed
+    path = tmp_path / "state.json"
+    row = ", ".join(map(str, nan_row))
+    path.write_text(f'{{"kind": "product", "moments": [[0, 1, 0], [{row}]]}}')
+    code, out, err = run_cli(capsys, command + ["--state", str(path)])
+    assert (code, out) == (2, "")
+    assert "moment at 2 is not a number" in err
+
+
 @st.composite
 def printable_elements(draw, algebra):
     """At most 4 terms of at most 3 factors; each coefficient a rational

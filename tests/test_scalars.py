@@ -1,13 +1,21 @@
 """Exact scalar ring tests: Gaussian rationals and cyclotomic phase sums."""
 
 import cmath
+from collections import defaultdict
 from fractions import Fraction
 from math import pi
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus import PhaseCoefficient, QQi, cyclotomic_polynomial
+from nctorus import (
+    IRRATIONAL,
+    PhaseCoefficient,
+    QQi,
+    TorusAlgebra,
+    canonicalize,
+    cyclotomic_polynomial,
+)
 
 F = Fraction
 
@@ -179,3 +187,70 @@ def test_to_qqi_round_trip(a):
     if z is not None:
         assert abs(complex(z) - a.to_complex()) < 1e-9
         assert PhaseCoefficient.from_qqi(z) == a
+
+
+# Angles outside [0, 1) and repeated (q mod 1, m) keys, so that merging and
+# cancellation both happen on construction and in arithmetic.
+merge_keys = st.tuples(
+    st.sampled_from([F(0), F(1), F(1, 2), F(-1, 2), F(1, 3), F(4, 3), F(2, 3), F(-3, 4)]),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def term_lists(draw):
+    pairs = []
+    for key, r in draw(st.lists(st.tuples(merge_keys, weights), max_size=6)):
+        pairs.append((key, r))
+        if draw(st.booleans()):
+            pairs.append((key, -r))  # cancels the weight just drawn
+    return pairs
+
+
+def naive_terms(pairs):
+    acc = defaultdict(Fraction)
+    for (q, m), r in pairs:
+        acc[(q % 1, m)] += r
+    return {key: r for key, r in acc.items() if r}
+
+
+@given(term_lists(), term_lists())
+@settings(max_examples=150)
+def test_merge_matches_naive_reference(xs, ys):
+    a, b = PhaseCoefficient(xs), PhaseCoefficient(ys)
+    products = [((q1 + q2, m1 + m2), r1 * r2)
+                for (q1, m1), r1 in a._terms.items() for (q2, m2), r2 in b._terms.items()]
+    for got, want in [
+        (a, naive_terms(xs)),
+        (a + b, naive_terms(xs + ys)),
+        (a - b, naive_terms(xs + [(key, -r) for key, r in ys])),
+        (a * b, naive_terms(products)),
+    ]:
+        assert got._terms == want
+        assert all(got._terms.values())
+
+
+# sums of roots of unity that vanish without equal angles
+RELATIONS = [
+    PhaseCoefficient({(F(0), 0): 1, (F(1, 3), 0): 1, (F(2, 3), 0): 1}),
+    PhaseCoefficient({(F(k, 5), 0): 1 for k in range(5)}),
+    PhaseCoefficient({(F(1, 6), 0): 1, (F(5, 6), 0): 1, (F(0), 0): -1}),
+]
+
+
+@given(term_lists(), st.sampled_from(RELATIONS), weights.filter(bool))
+@settings(max_examples=60)
+def test_element_equality_sees_cyclotomic_relations(xs, relation, k):
+    algebra = TorusAlgebra(IRRATIONAL)
+    u0 = algebra.u(0)
+    c = PhaseCoefficient(xs)
+    a, b = algebra.scalar(c) * u0, algebra.scalar(c + relation * k) * u0
+    assert a == b
+
+
+def test_element_equality_of_thirds():
+    algebra = TorusAlgebra(canonicalize(1, 2))
+    u0 = algebra.u(0)
+    thirds = PhaseCoefficient({(F(1, 3), 0): 1, (F(2, 3), 0): 1})
+    assert algebra.scalar(thirds) * u0 == -u0
+    assert algebra.scalar(thirds) * u0 != u0

@@ -88,6 +88,15 @@ class TestMomentSequence:
         with pytest.raises(InputError, match="zeroth moment"):
             MomentSequence({0: 1 + 1e-8}, mode="float")
 
+    @pytest.mark.parametrize("value", [complex(float("nan"), 0), complex(0, float("nan")),
+                                       complex(float("inf"), float("nan"))])
+    def test_nan_float_moment_rejected(self, value):
+        # NaN passes every modulus bound, so it is refused by name
+        with pytest.raises(InputError, match="moment at 2 is not a number"):
+            MomentSequence({0: 1, 2: value}, mode="float")
+        with pytest.raises(InputError, match="moment at -3 is not a number"):
+            MomentSequence({-3: value}, mode="float")
+
 
 class TestValidation:
     def test_inadmissible_rejected_exact(self):
