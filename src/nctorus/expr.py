@@ -19,12 +19,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby
 from math import gcd
-from operator import itemgetter
 
 from .algebra import Element, TorusAlgebra
-from .deformation import MAX_LEVEL, InputError
+from .deformation import MAX_LEVEL, InputError, factorize
 from .scalars import PhaseCoefficient
 
 
@@ -256,20 +255,25 @@ def format_terms(pairs) -> str:
     try:
         for word, form in forms:
             text = f"*{format_word(word)}" if word else ""
-            for m, level, den, terms in form:
+            for m, level, den, exps, ns in form:
                 tail = f"*E({m}){text}" if m else text
                 close = f"/{level}){tail}"
-                weights = {n: str(Fraction(abs(n), den)) for n in set(map(itemgetter(1), terms))}
-                for n, run in groupby(terms, itemgetter(1)):
+                primes = [p for p, _ in factorize(level)]
+                weights: dict[int, str] = {}
+                end = 0
+                for n, group in groupby(ns):
+                    start, end = end, end + len(list(group))
+                    run = exps[start:end]
                     sign = " - " if n < 0 else " + "
-                    weight = weights[n]
+                    weight = weights.get(n)
+                    if weight is None:
+                        weight = weights[n] = str(Fraction(abs(n), den))
                     head = "e(" if n == den else weight + "*e("
-                    exps = list(map(itemgetter(0), run))
                     # a level-1 form is the one term e(0), which is not written e(0/1)
-                    if len(exps) > 1 and max(map(gcd, exps, repeat(level))) == 1:
-                        out += (sign, head + (close + sign + head).join(map(str, exps)) + close)
+                    if len(run) > 1 and all(all(map(p.__rmod__, run)) for p in primes):
+                        out += (sign, head, (close + sign + head).join(map(str, run)), close)
                         continue
-                    for a in exps:
+                    for a in run:
                         g = gcd(a, level)
                         out += (sign, f"{head}{a // g}/{level // g}){tail}" if a else
                                 tail[1:] if n == den and tail else weight + tail)

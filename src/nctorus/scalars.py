@@ -254,18 +254,25 @@ def _angles_vanish(bucket: dict[Fraction, Fraction]) -> bool:
     return _vanishes(terms, level, factorize(level))
 
 
-def _half_turn(terms: dict[int, int], level: int) -> dict[int, int]:
+def _by_exponent(pairs) -> tuple[list[int], list[int]]:
+    """Parallel exponent and weight lists of (a, n) pairs, by increasing a."""
+    pairs = sorted(pairs)
+    return [a for a, _ in pairs], [n for _, n in pairs]
+
+
+def _half_turn(exps: list[int], ns: list[int], level: int) -> tuple[list[int], list[int]]:
     """n*zeta**a = -n*zeta**(a + level/2) wherever a/level has a denominator
-    of 2 mod 4, that is where a has one factor 2 less than level."""
+    of 2 mod 4, that is where a has one factor 2 less than level; the
+    identity for odd level."""
     half = level & -level
     if half == 1:
-        return terms
+        return exps, ns
     out: dict[int, int] = {}
-    for a, n in terms.items():
+    for a, n in zip(exps, ns):
         if a % half == half >> 1:
             a, n = (a + level // 2) % level, -n
         _add_into(out, a, n)
-    return out
+    return _by_exponent(out.items())
 
 
 def _conductor(bucket: dict[Fraction, Fraction]) -> tuple[int, dict[int, Fraction]]:
@@ -310,8 +317,9 @@ def _conductor(bucket: dict[Fraction, Fraction]) -> tuple[int, dict[int, Fractio
     return (level, terms) if terms else (1, {})
 
 
-def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
-    """Remainder of sum n * x**a modulo Phi_level, read from the nearer end.
+def _power_basis(terms: dict[int, int], level: int) -> tuple[list[int], list[int]]:
+    """Remainder of sum n * x**a modulo Phi_level, read from the nearer end,
+    as its exponents in increasing order and their nonzero weights.
 
     Phi_level(x) = Phi_rad(y) for y = x**s, s = level/rad and rad the
     squarefree kernel of level, so each class a = s*j + r, r < s, is a
@@ -328,6 +336,8 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
       coefficients are those of -P read backward, so P is subtracted reversed.
     Each quotient and product is one pass per divisor of rad (_times_phi),
     so a class costs O(2**omega(rad) * (K + D)) wherever its exponents lie.
+    A squarefree level has the one class, whose remainder is already in
+    exponent order; the other cases sort their terms once.
     """
     factors = factorize(level)
     rad = deg = 1
@@ -335,7 +345,7 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
         rad *= p
         deg *= p ** (k - 1) * (p - 1)
     if all(a < deg for a in terms):
-        return terms
+        return _by_exponent(terms.items())
     if rad > MAX_LEVEL:
         raise InputError(f"cyclotomic level {rad} exceeds the limit {MAX_LEVEL}")
     stride, width = level // rad, deg * rad // level
@@ -343,10 +353,10 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
     classes: dict[int, dict[int, int]] = {}
     for a, n in terms.items():
         classes.setdefault(a % stride, {})[a // stride] = n
-    out: dict[int, int] = {}
+    out: list[tuple[int, int]] = []
     for r, cls in classes.items():
         if all(j < width for j in cls):
-            out.update((j * stride + r, n) for j, n in cls.items())
+            out += ((j * stride + r, n) for j, n in cls.items())
             continue
         rem = [0] * width
         near_phi, near_rad = {}, {}
@@ -368,8 +378,10 @@ def _power_basis(terms: dict[int, int], level: int) -> dict[int, int]:
                 q += [0] * (width - len(q))
                 _times_phi(q, divisors, 1)
                 rem = list(map(sub, rem, q[::-1] if backward else q))
-        out.update(compress(zip(range(r, deg, stride), rem), rem))
-    return out
+        if stride == 1:
+            return list(compress(range(deg), rem)), list(compress(rem, rem))
+        out += compress(zip(range(r, deg, stride), rem), rem)
+    return _by_exponent(out)
 
 
 class PhaseCoefficient:
@@ -520,30 +532,31 @@ class PhaseCoefficient:
 
     __hash__ = None
 
-    def canonical_form(self) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
-        """(m, d, den, [(a, n)] by a) per nonzero symbolic bucket by m: the
-        bucket of E(m) is sum (n/den) * e(a/d), d its conductor and the terms
-        its residue modulo Phi_d rewritten by _half_turn, in lowest terms."""
+    def canonical_form(self) -> list[tuple[int, int, int, list[int], list[int]]]:
+        """(m, d, den, exps, ns) per nonzero symbolic bucket by m: the bucket
+        of E(m) is sum (n/den) * e(a/d) over the parallel lists exps and ns,
+        exps increasing, d its conductor and the terms its residue modulo
+        Phi_d rewritten by _half_turn, in lowest terms."""
         out = []
         buckets = _buckets(self._terms)
         for m in sorted(buckets):
             level, terms = _conductor(buckets[m])
             if terms:
                 den = lcm(*(r.denominator for r in terms.values()))
-                ints = _half_turn(_power_basis({a: r.numerator * (den // r.denominator)
-                                                for a, r in terms.items()}, level), level)
-                g = gcd(den, *ints.values())
+                exps, ns = _half_turn(*_power_basis({a: r.numerator * (den // r.denominator)
+                                                     for a, r in terms.items()}, level), level)
+                g = gcd(den, *ns)
                 if g > 1:
-                    ints = {a: n // g for a, n in ints.items()}
-                out.append((m, level, den // g, sorted(ints.items())))
+                    ns = [n // g for n in ns]
+                out.append((m, level, den // g, exps, ns))
         return out
 
     def reduce(self) -> PhaseCoefficient:
         """Canonical form: each symbolic bucket in its cyclotomic power basis."""
         out: dict[tuple[Fraction, int], Fraction] = {}
-        for m, level, den, terms in self.canonical_form():
-            weights = {n: Fraction(n, den) for n in {n for _, n in terms}}
-            for a, n in terms:
+        for m, level, den, exps, ns in self.canonical_form():
+            weights = {n: Fraction(n, den) for n in set(ns)}
+            for a, n in zip(exps, ns):
                 out[(Fraction(a, level), m)] = weights[n]
         return PhaseCoefficient._make(out)
 

@@ -2,14 +2,16 @@
 cost in terms rather than in level, and the level limit."""
 
 import cmath
+import hashlib
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nctorus import (PhaseCoefficient, QQi, TorusAlgebra, canonicalize, cyclotomic_polynomial,
-                     factorize, format_element, parse, scalars)
+from nctorus import (IRRATIONAL, PhaseCoefficient, QQi, TorusAlgebra, canonicalize,
+                     cyclotomic_polynomial, factorize, format_element, parse, scalars)
 from nctorus.deformation import MAX_LEVEL, InputError
 from nctorus.expr import format_word
 from nctorus.oracle import brute_phase_is_zero, brute_phase_reduce, brute_phase_to_qqi
@@ -26,10 +28,10 @@ weights = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool
 
 
 @st.composite
-def phase_sums(draw):
-    """Phase sums at one level: loose terms, whole cosets of p-th roots
-    (p <= 101) times a phase, which cancel, cosets with one term missing,
-    Gaussian constants, and a few symbolic buckets at small levels."""
+def phase_sums(draw, levels=LEVELS):
+    """Phase sums at one of the levels: loose terms, whole cosets of p-th
+    roots (p <= 101) times a phase, which cancel, cosets with one term
+    missing, Gaussian constants, and a few symbolic buckets at small levels."""
     pairs = []
 
     def bucket(level, m):
@@ -45,7 +47,7 @@ def phase_sums(draw):
         if draw(st.booleans()):
             pairs.append(((F(draw(st.integers(0, 3)), 4), m), draw(weights)))
 
-    bucket(draw(st.sampled_from(LEVELS)), 0)
+    bucket(draw(st.sampled_from(levels)), 0)
     for m in draw(st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2, unique=True)):
         bucket(draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12])), m)
     return PhaseCoefficient(pairs)
@@ -283,3 +285,63 @@ def test_printer_matches_reference_on_cyclo_products(level):
     for y in ("u[4]*u[5]^-1 + 5/3*u[5]^-1*u[4]", "-u[0]^-1*u[1]^-1 + 1/2*u[1]^-1*u[0]^-1"):
         p = x * parse(y, algebra)
         assert format_element(p) == reference_format(p)
+
+
+def cyclo_product(level):
+    """x*y of the cyclo workload's first pair at beta = 1/level."""
+    algebra = TorusAlgebra(canonicalize(1, level))
+    x = parse("2*u[0]*u[1] - 3/4*u[1]*u[0] + u[3]^2", algebra)
+    return x * parse("u[4]*u[5]^-1 + 5/3*u[5]^-1*u[4]", algebra)
+
+
+# format_element(cyclo_product(100003)): one coefficient of 100,002 terms
+GOLDEN_100003 = (4489029, "23f91bc473f5954352aa9f21edc00ec2dd551b52")
+
+
+def size_and_sha1(text):
+    return len(text), hashlib.sha1(text.encode()).hexdigest()
+
+
+def test_large_print_is_pinned():
+    assert size_and_sha1(format_element(cyclo_product(100003))) == GOLDEN_100003
+
+
+def reference_text(pc):
+    return reference_format(TorusAlgebra(IRRATIONAL).scalar(pc))
+
+
+# odd squarefree, prime powers and other levels whose residue classes have a
+# stride above 1, and levels divisible by 4, where _half_turn rewrites
+FORM_LEVELS = [3, 15, 21, 105, 231, 385,
+               9, 25, 27, 49, 125, 243, 45, 175, 98,
+               4, 8, 16, 12, 20, 28, 36, 60, 100]
+
+
+@given(phase_sums(FORM_LEVELS))
+@settings(max_examples=150, deadline=None)
+def test_canonical_form_lists_are_ordered_and_in_lowest_terms(pc):
+    for m, level, den, exps, ns in pc.canonical_form():
+        # only _half_turn, at even levels, moves an exponent above phi(level)
+        top = level if level % 2 == 0 else len(cyclotomic_polynomial(level)) - 1
+        assert exps == sorted(set(exps)) and 0 <= exps[0] and exps[-1] < top
+        assert len(ns) == len(exps) and all(type(n) is int and n for n in ns)
+        assert gcd(den, *ns) == 1
+    assert pc.reduce()._terms == brute_phase_reduce(pc)._terms
+    assert str(pc) == reference_text(pc)
+
+
+def sorted_at_most_64(items, **kwargs):
+    items = list(items)
+    assert len(items) <= 64, f"sorted a list of {len(items)}"
+    return sorted(items, **kwargs)
+
+
+def test_odd_squarefree_print_sorts_no_long_list(monkeypatch):
+    # a squarefree conductor has one residue class, whose remainder comes
+    # out of the reduction in exponent order: nothing of its size is sorted
+    pc = PhaseCoefficient({(F(30029, 30030), 0): 1, (F(0), 0): 2})  # conductor 15015
+    expected = reference_text(pc)
+    monkeypatch.setattr(scalars, "sorted", sorted_at_most_64, raising=False)
+    assert [f[1] for f in pc.canonical_form()] == [15015]
+    assert str(pc) == expected
+    assert size_and_sha1(format_element(cyclo_product(100003))) == GOLDEN_100003

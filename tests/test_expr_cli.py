@@ -711,6 +711,27 @@ def test_state_file_eval_exit_code_contract(capsys, tmp_path, obj, mode, expr):
     assert code in (0, 1, 2)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=state_descriptions(), mode=st.sampled_from(["exact", "float"]),
+       expr=st.sampled_from(["u[0]^2", "u[0] + 1/2"]))
+@example(obj={"kind": "product", "moments": [[0, 1, 0], [2, float("nan"), 0]]},
+         mode="float", expr="u[0]^2")
+def test_state_file_eval_prints_a_number_or_refuses(capsys, tmp_path, obj, mode, expr):
+    # eval has no verdict to fail: it prints a finite value and exits 0, or
+    # refuses the input with exit 2 and prints nothing on stdout
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(capsys, ["eval", "--alpha", "1/2", "--state", str(path),
+                                    "--mode", mode, expr])
+    assert code in (0, 2)
+    if code == 0:
+        assert "nan" not in out and "inf" not in out
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize("nan_row", [[2, "NaN", 0], [2, 0, "NaN"]], ids=["re", "im"])
 @pytest.mark.parametrize("command", [
     ["eval", "--alpha", "1/2", "--mode", "float", "u[0]^2"],
