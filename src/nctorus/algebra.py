@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .deformation import DeformationParameter, InputError, isotropy
-from .scalars import PC_ONE, PC_ZERO, PhaseCoefficient, QQi
+from .scalars import PC_ONE, PC_ZERO, PhaseCoefficient
 
 Word = tuple[tuple[int, int], ...]
 EMPTY_WORD: Word = ()
@@ -67,13 +67,10 @@ def word_translate(word: Word, offset: int) -> Word:
 
 
 def _as_phase(x) -> PhaseCoefficient:
-    if isinstance(x, PhaseCoefficient):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return PhaseCoefficient.from_rational(x)
-    if isinstance(x, QQi):
-        return PhaseCoefficient.from_qqi(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
+    pc = PhaseCoefficient._coerce(x)
+    if pc is None:
+        raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
+    return pc
 
 
 class TorusAlgebra:
@@ -246,10 +243,10 @@ class Element:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
-            if isinstance(other, (int, Fraction, QQi, PhaseCoefficient)):
-                other = self.algebra.scalar(other)
-            else:
+            coeff = PhaseCoefficient._coerce(other)
+            if coeff is None:
                 return NotImplemented
+            other = Element(self.algebra, {EMPTY_WORD: coeff})
         if other.algebra.beta != self.algebra.beta:
             return False
         if self._terms.keys() != other._terms.keys():
@@ -300,27 +297,28 @@ def _exact_angle(angle) -> Fraction:
     return Fraction(angle)
 
 
+def _rotate(x: Element, angle_of: Callable[[Word], Fraction]) -> Element:
+    """Multiply each term by e^(2*pi*i*angle_of(word))."""
+    out: dict[Word, PhaseCoefficient] = {}
+    for w, c in x._terms.items():
+        q = angle_of(w) % 1
+        out[w] = c if not q else c * PhaseCoefficient.unit_angle(q)
+    return Element(x.algebra, out, canonical=True)
+
+
 def apply_gauge(x: Element, angle) -> Element:
     """Rotate every generator by e^(2*pi*i*angle), angle rational.
 
     A degree-m term picks up the phase e^(2*pi*i*m*angle).
     """
     angle = _exact_angle(angle)
-    out: dict[Word, PhaseCoefficient] = {}
-    for w, c in x._terms.items():
-        q = (angle * word_degree(w)) % 1
-        out[w] = c if not q else c * PhaseCoefficient.unit_angle(q)
-    return Element(x.algebra, out, canonical=True)
+    return _rotate(x, lambda w: angle * word_degree(w))
 
 
 def apply_coordinate_gauge(x: Element, angles: Mapping[int, Fraction]) -> Element:
     """Rotate generator i by e^(2*pi*i*angles[i]); unlisted indices stay put."""
-    out: dict[Word, PhaseCoefficient] = {}
     zero = Fraction(0)
-    for w, c in x._terms.items():
-        q = sum((_exact_angle(angles.get(i, zero)) * e for i, e in w), zero) % 1
-        out[w] = c if not q else c * PhaseCoefficient.unit_angle(q)
-    return Element(x.algebra, out, canonical=True)
+    return _rotate(x, lambda w: sum((_exact_angle(angles.get(i, zero)) * e for i, e in w), zero))
 
 
 def apply_index_map(x: Element, h: Callable[[int], int]) -> Element:

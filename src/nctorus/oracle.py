@@ -2,8 +2,8 @@
 
 Contains the deliberately naive or numeric counterparts of the fast paths:
 an adjacent-transposition normal former, dense power-basis arithmetic in
-the cyclotomic field for phase sums, with its own dense descent to the
-conductor, the literal average over all
+the cyclotomic field for phase sums, with its own dense cyclotomic
+polynomials and dense descent to the conductor, the literal average over all
 2n+1 shifts for Cesaro states, divisibility scans and sieves for
 the isotropy generator, a finite clock-and-shift matrix model of the
 commutation relations, and exact (fraction LDL) or floating (eigensolve)
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Element, TorusAlgebra, Word, word_translate
 from .deformation import MAX_LEVEL, DeformationParameter, InputError, factorize
-from .scalars import QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi, cyclotomic_polynomial
+from .scalars import QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi
 from .states import (
     EXACT,
     BlockProductState,
@@ -71,22 +71,46 @@ def brute_normal_form(factors) -> tuple[int, Word]:
     return twist, tuple(word)
 
 
+@lru_cache(maxsize=None)
+def brute_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n, constant term first, as prod over d | n of (x**d - 1)**mu(n/d):
+    dense integer products by the factors with mu = 1, then exact long
+    divisions by those with mu = -1."""
+    squarefree = [(1, 1)]  # (s, mu(s)) over the squarefree divisors s of n
+    for p, _ in factorize(n):
+        squarefree += [(s * p, -mu) for s, mu in squarefree]
+    poly = [1]
+    for s, mu in sorted(squarefree, key=lambda pair: -pair[1]):
+        d = n // s
+        if mu == 1:
+            poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+            continue
+        quot = [0] * (len(poly) - d)
+        for i in range(len(poly) - 1, d - 1, -1):  # poly keeps the remainder
+            quot[i - d] = c = poly[i]
+            poly[i - d] += c
+        if any(poly[:d]):
+            raise AssertionError(f"x**{d} - 1 does not divide the product")
+        poly = quot
+    return tuple(poly)
+
+
 def _dense_residue(vec: list[Fraction], order: int) -> list[Fraction]:
-    """Remainder of sum vec[j]*x**j modulo the order-th cyclotomic polynomial."""
-    mod = cyclotomic_polynomial(order)
+    """Remainder of sum vec[j]*x**j modulo the order-th cyclotomic polynomial,
+    by long division in integers over the common denominator of vec."""
+    mod = brute_cyclotomic_polynomial(order)
     deg = len(mod) - 1
-    work = list(vec)
-    if len(work) < deg:
-        work.extend([Fraction(0)] * (deg - len(work)))
+    den = lcm(*(c.denominator for c in vec))
+    work = [c.numerator * (den // c.denominator) for c in vec]
+    work.extend([0] * (deg - len(work)))
+    taps = [(j, m) for j, m in enumerate(mod[:deg]) if m]
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            work[i] = Fraction(0)
             base = i - deg
-            for j in range(deg):
-                if mod[j]:
-                    work[base + j] -= c * mod[j]
-    return work[:deg]
+            for j, m in taps:
+                work[base + j] -= c * m
+    return [Fraction(c, den) for c in work[:deg]]
 
 
 def _dense_merge(pairs) -> dict[Fraction, Fraction]:
@@ -281,15 +305,9 @@ class MatrixRep:
         self.beta = beta
         self.modulus = beta.denominator
         self.generators = generators
-        import numpy as np
-
-        d = self.modulus
-        angles = 2 * pi * beta.numerator * np.arange(d) / d
-        self.clock = np.diag(np.exp(1j * angles))
-        self.step = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            self.step[(k - 1) % d, k] = 1.0
-        self.eye = np.eye(d, dtype=complex)
+        self.clock = self.clock_power(1)
+        self.step = self.step_power(1)
+        self.eye = self.step_power(0)
         self.verify()
 
     @property
@@ -502,7 +520,7 @@ def hermitian_psd_exact(matrix: list[list[QQi]]) -> PsdVerdict:
     return PsdVerdict(True)
 
 
-def hermitian_psd_float(matrix: np.ndarray) -> PsdVerdict:
+def hermitian_psd_float(matrix: list[list[complex]] | np.ndarray) -> PsdVerdict:
     """Eigensolve positivity check: PSD unless an eigenvalue is below -1e-10.
 
     The Hermitian part (M + M*)/2 is used, which carries the real part of
@@ -532,19 +550,8 @@ def toeplitz_psd(moments: MomentSequence, order: int) -> PsdVerdict:
     if not 1 <= order <= MAX_MOMENT_ORDER:
         raise InputError(f"order must lie in 1..{MAX_MOMENT_ORDER}")
     size = order + 1
-    if moments.exact:
-        matrix = [
-            [QQi.of(moments.moment(i - j)) for j in range(size)]
-            for i in range(size)
-        ]
-        return hermitian_psd_exact(matrix)
-    import numpy as np
-
-    numeric = np.array(
-        [[moments.moment(i - j) for j in range(size)] for i in range(size)],
-        dtype=complex,
-    )
-    return hermitian_psd_float(numeric)
+    rows = [[moments.moment(i - j) for j in range(size)] for i in range(size)]
+    return hermitian_psd_exact(rows) if moments.exact else hermitian_psd_float(rows)
 
 
 def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
@@ -555,28 +562,15 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
     (or on request) the floating eigensolve runs, which is also the path
     that exhibits non-states built from inadmissible moments.
     """
-    field = scalar_field(mode, beta_value)
-    adjoints = [x.adjoint() for x in elements]
-    n = len(elements)
-    if field is EXACT:
-        entries: list[list[QQi]] = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                value = evaluate(state, adjoints[i] * elements[j]).to_qqi()
-                if value is None:
-                    raise InputError(
-                        "Gram entries leave the Gaussian rationals; "
-                        "run the check in float mode"
-                    )
-                row.append(value)
-            entries.append(row)
-        return hermitian_psd_exact(entries)
-    import numpy as np
+    exact = scalar_field(mode, beta_value) is EXACT
 
-    numeric = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            numeric[i, j] = evaluate(state, adjoints[i] * elements[j],
-                                     mode=mode, beta_value=beta_value)
-    return hermitian_psd_float(numeric)
+    def entry(x_star: Element, y: Element):
+        value = evaluate(state, x_star * y, mode=mode, beta_value=beta_value)
+        if exact and (value := value.to_qqi()) is None:
+            raise InputError(
+                "Gram entries leave the Gaussian rationals; run the check in float mode"
+            )
+        return value
+
+    rows = [[entry(x_star, y) for y in elements] for x_star in [x.adjoint() for x in elements]]
+    return hermitian_psd_exact(rows) if exact else hermitian_psd_float(rows)

@@ -47,19 +47,13 @@ class QQi:
 
     def __post_init__(self):
         if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
+            object.__setattr__(self, "re", _as_fraction(self.re))
         if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+            object.__setattr__(self, "im", _as_fraction(self.im))
 
     @classmethod
     def of(cls, x) -> QQi:
-        if isinstance(x, QQi):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(Fraction(x), _F0)
-        if isinstance(x, complex):
-            return cls(Fraction(x.real), Fraction(x.imag))
-        raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
+        return x if isinstance(x, QQi) else cls(_as_fraction(x))
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -458,7 +452,10 @@ class PhaseCoefficient:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other) -> PhaseCoefficient | None:
+        """An exact operand as a PhaseCoefficient: an int, Fraction, QQi or
+        PhaseCoefficient; None for anything else, floats and complexes too."""
         if isinstance(other, PhaseCoefficient):
             return other
         if isinstance(other, (int, Fraction)):

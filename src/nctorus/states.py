@@ -456,7 +456,7 @@ def evaluate(state: StateSpec, x: Element, *, mode: str = "exact", beta_value=No
     field = scalar_field(mode, beta_value)
     validate_state(state, x.algebra.beta, mode=mode)
     total = field.zero
-    for word, coeff in sorted(x._terms.items()):
+    for word, coeff in x.terms():
         v = field.word_value(state, word, x.algebra)
         if not field.is_zero(v):
             total = total + field.coefficient(coeff) * v

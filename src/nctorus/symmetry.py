@@ -256,6 +256,9 @@ class CheckReport:
 MAX_EXHAUSTIVE_CASES = 10**7
 # Largest randomized pass, in trials.
 MAX_TRIALS = 10**7
+# Largest randomized pass, in factor steps: a trial appends each of up to
+# max_factors drawn factors to a normal form of at most max_factors factors.
+MAX_RANDOM_STEPS = 10**8
 
 
 def _series(base: int, top: int) -> int:
@@ -273,8 +276,8 @@ def _series(base: int, top: int) -> int:
 
 
 def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
-    """Reject negative budgets, more than MAX_TRIALS trials and an exhaustive
-    pass above MAX_EXHAUSTIVE_CASES.
+    """Reject negative budgets, more than MAX_TRIALS trials, a random pass
+    above MAX_RANDOM_STEPS and an exhaustive pass above MAX_EXHAUSTIVE_CASES.
 
     The pass runs every word of <= max_factors factors, each from the
     (2*max_index + 1) * 2*max_exponent singles, against each of the actions.
@@ -286,6 +289,10 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
         raise InputError("angle_samples must be >= 1, got 0")
     if fields["trials"] > MAX_TRIALS:
         raise InputError(f"trials must be <= {MAX_TRIALS}, got {fields['trials']}")
+    steps = fields["trials"] * fields["max_factors"] ** 2 if fields["max_exponent"] else 0
+    if steps > MAX_RANDOM_STEPS:
+        raise InputError(f"the random pass would take up to {steps} factor steps, more "
+                         f"than {MAX_RANDOM_STEPS}; lower trials or max_factors")
     singles = (2 * fields["max_index"] + 1) * 2 * fields["max_exponent"]
     if exhaustive and _series(singles, fields["max_factors"]) * actions > MAX_EXHAUSTIVE_CASES:
         raise InputError(

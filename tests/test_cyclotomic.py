@@ -24,33 +24,62 @@ LEVELS = [2, 3, 5, 7, 11, 13, 97, 101, 1009,
           9, 27, 81, 729,
           6, 10, 14, 30, 202, 1154,
           12, 24, 60, 72, 210, 420]
-weights = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 
-@st.composite
-def phase_sums(draw, levels=LEVELS):
+def fractions_between(lo, hi, max_denominator):
+    """Every fraction in [lo, hi] with a denominator <= max_denominator, in order."""
+    return sorted({F(n, d) for d in range(1, max_denominator + 1)
+                   for n in range(lo * d, hi * d + 1)})
+
+
+# strategies are built once here and per level in phase_sums, not in a draw
+weights = st.sampled_from([w for w in fractions_between(-3, 3, 4) if w])
+SYMBOLIC_LEVELS = [1, 2, 3, 4, 6, 8, 12]
+
+
+def level_strategies(level):
+    """(exponent mod level, number of cosets, {p: the term left out of a
+    coset of p-th roots, or None}, prime p) over the primes p <= 101 of the
+    level, so that a coset holds at most 101 terms."""
+    primes = [p for p, _ in factorize(level) if p <= 101]
+    skips = {p: st.sampled_from([None] * 3 + list(range(p))) for p in primes}
+    return (st.integers(0, level - 1), st.integers(0, 2 if primes else 0), skips,
+            st.sampled_from(primes) if primes else None)
+
+
+def phase_sums(levels=LEVELS):
     """Phase sums at one of the levels: loose terms, whole cosets of p-th
     roots (p <= 101) times a phase, which cancel, cosets with one term
     missing, Gaussian constants, and a few symbolic buckets at small levels."""
-    pairs = []
+    per_level = {level: level_strategies(level) for level in {*levels, *SYMBOLIC_LEVELS}}
+    loose, quarter = st.integers(0, 4), st.integers(0, 3)
+    level_of_bucket = st.sampled_from(levels)
+    symbolic_powers = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2, unique=True)
+    symbolic_level = st.sampled_from(SYMBOLIC_LEVELS)
 
-    def bucket(level, m):
-        primes = [p for p, _ in factorize(level) if p <= 101]  # cosets of <= 101 terms
-        for _ in range(draw(st.integers(0, 4))):
-            pairs.append(((F(draw(st.integers(0, level - 1)), level), m), draw(weights)))
-        for _ in range(draw(st.integers(0, 2 if primes else 0))):
-            p = draw(st.sampled_from(primes))
-            c = F(draw(st.integers(0, level - 1)), level)
-            r = draw(weights)
-            skip = draw(st.sampled_from([None] * 3 + list(range(p))))
-            pairs.extend(((c + F(j, p), m), r) for j in range(p) if j != skip)
-        if draw(st.booleans()):
-            pairs.append(((F(draw(st.integers(0, 3)), 4), m), draw(weights)))
+    @st.composite
+    def sums(draw):
+        pairs = []
 
-    bucket(draw(st.sampled_from(levels)), 0)
-    for m in draw(st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2, unique=True)):
-        bucket(draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12])), m)
-    return PhaseCoefficient(pairs)
+        def bucket(level, m):
+            exponent, cosets, skips, prime = per_level[level]
+            for _ in range(draw(loose)):
+                pairs.append(((F(draw(exponent), level), m), draw(weights)))
+            for _ in range(draw(cosets)):
+                p = draw(prime)
+                c = F(draw(exponent), level)
+                r = draw(weights)
+                skip = draw(skips[p])
+                pairs.extend(((c + F(j, p), m), r) for j in range(p) if j != skip)
+            if draw(st.booleans()):
+                pairs.append(((F(draw(quarter), 4), m), draw(weights)))
+
+        bucket(draw(level_of_bucket), 0)
+        for m in draw(symbolic_powers):
+            bucket(draw(symbolic_level), m)
+        return PhaseCoefficient(pairs)
+
+    return sums()
 
 
 def assert_matches_reference(pc):
@@ -68,7 +97,7 @@ def test_matches_dense_reference(pc):
 
 
 def test_matches_dense_reference_at_smooth_1155():
-    # level 3*5*7*11 costs the dense reference seconds, so one fixed sum
+    # one fixed sum at level 3*5*7*11, the costliest kind for the dense reference
     c = F(2, 1155)
     pc = PhaseCoefficient(
         [((c + F(j, 7), 0), F(3, 2)) for j in range(7)]  # a whole coset
@@ -80,7 +109,7 @@ def test_matches_dense_reference_at_smooth_1155():
 
 # zero relations sum_{j<p} r*e(c + j/p), times E(m)
 zero_relations = st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]),
-                                    st.fractions(min_value=0, max_value=1, max_denominator=12),
+                                    st.sampled_from(fractions_between(0, 1, 12)),
                                     weights, st.sampled_from([0, 0, 0, 1])),
                           min_size=1, max_size=3)
 
@@ -198,7 +227,7 @@ def test_exponents_anywhere_match_dense_reference(pc):
 @given(data=st.data())
 @settings(max_examples=2, deadline=None)
 def test_exponents_anywhere_match_dense_reference_at_smooth_levels(level, data):
-    # the dense reference takes one to three seconds a sum at these levels
+    # the dense reference costs the most per sum at these levels
     assert_reduces_like_reference(data.draw(spread_sums([level])))
 
 

@@ -825,3 +825,22 @@ def test_state_file_commands_exit_code_contract(capsys, tmp_path, obj, command, 
     code = main(argv + [expr if a == "{expr}" else a for a in tail])
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+def test_random_pass_steps_limit_exit_code(capsys, monkeypatch, state_files):
+    def refuse(*args):
+        raise AssertionError("the random pass started")
+
+    monkeypatch.setattr(nctorus.symmetry, "random_factor_word", refuse)
+    code, out, err = run_cli(capsys, ["check", "stationary", "--alpha", "1/2",
+                                      "--state", state_files["trace"],
+                                      "--max-factors", "100000000", "--trials", "50",
+                                      "--no-exhaustive"])
+    assert (code, out) == (2, "")
+    assert "the random pass would take" in err
+
+
+def test_parse_error_position_after_newline():
+    with pytest.raises(ParseError, match=r"unexpected character '#' \(line 2, column 3\)") as info:
+        parse("u[0] +\n  #", TorusAlgebra(BETA))
+    assert (info.value.line, info.value.column) == (2, 3)

@@ -254,3 +254,40 @@ def test_element_equality_of_thirds():
     thirds = PhaseCoefficient({(F(1, 3), 0): 1, (F(2, 3), 0): 1})
     assert algebra.scalar(thirds) * u0 == -u0
     assert algebra.scalar(thirds) * u0 != u0
+
+
+def test_exact_scalars_take_only_exact_operands():
+    # floats, complexes and strings never enter exact arithmetic
+    from nctorus import MomentSequence
+    from nctorus.scalars import PC_ONE
+
+    algebra = TorusAlgebra(canonicalize(1, 2))
+    for make in (lambda: QQi(0.1), lambda: QQi("1/3"), lambda: QQi(F(1, 3), 2.5),
+                 lambda: QQi.of(0.5j), lambda: QQi.of(0.5), lambda: QQi.of("1/3"),
+                 lambda: QQi(1) + 0.5j, lambda: MomentSequence({2: 0.1 + 0j}),
+                 lambda: MomentSequence({2: 0.1}), lambda: algebra.scalar(0.5),
+                 lambda: algebra.u(0) * 0.5j, lambda: PC_ONE + 0.5):
+        with pytest.raises(TypeError):
+            make()
+    assert MomentSequence({2: 0.1 + 0j}, mode="float").moment(-2) == 0.1 + 0j
+    # int, Fraction, QQi and PhaseCoefficient operands behave as before
+    assert QQi(1, F(1, 2)) == QQi(F(1), F(1, 2)) and QQi.of(2) == QQi(F(2))
+    assert QQi.of(QQi(F(1, 3))) == QQi(F(1, 3)) and QQi(1) + 1 == QQi(F(2))
+    assert MomentSequence({2: F(1, 2)}).moment(-2) == QQi(F(1, 2))
+    assert MomentSequence({2: QQi(F(1, 4), F(1, 4))}).moment(-2) == QQi(F(1, 4), F(-1, 4))
+    half = algebra.scalar(F(1, 2))
+    assert half == F(1, 2) and half == QQi(F(1, 2)) and half == pc_angle(0, F(1, 2))
+    assert algebra.one() == 1 and algebra.scalar(QQi(F(0), F(1))) == pc_angle(F(1, 4))
+    assert (algebra.one() == 1.0) is False and (algebra.one() == "1") is False
+    assert algebra.u(0) * 2 == algebra.u(0) + algebra.u(0) == algebra.u(0) * QQi(F(2))
+    assert PC_ONE + F(1, 2) == F(3, 2) and PC_ONE * QQi(F(0), F(1)) == pc_angle(F(1, 4))
+
+
+def test_gaussian_rational_prints_both_parts():
+    # what a check report's state line shows for a complex exact moment
+    from nctorus import MomentSequence, ProductState
+
+    assert str(QQi(F(1, 2), F(1, 3))) == "1/2+1/3i"
+    assert str(QQi(F(1, 2), F(-1, 3))) == "1/2-1/3i"
+    state = ProductState(MomentSequence({2: QQi(F(1, 2), F(1, 3))}))
+    assert state.describe() == "product(c_-2=1/2-1/3i, c_2=1/2+1/3i)"

@@ -513,3 +513,33 @@ def test_unknown_mode_is_rejected(mode, tmp_path):
     for call in calls:
         with pytest.raises(InputError, match="unknown mode"):
             call()
+
+
+def test_random_pass_steps_limit(monkeypatch):
+    # the limit is checked before a single factor is drawn
+    from nctorus.symmetry import MAX_RANDOM_STEPS
+
+    def refuse(*args):
+        raise AssertionError("the random pass started")
+
+    monkeypatch.setattr(symmetry, "random_factor_word", refuse)
+    budget = dict(max_index=2, max_exponent=2)
+    _check_budget(1, False, trials=MAX_TRIALS, max_factors=3, **budget)  # the CLI words
+    _check_budget(1, False, trials=1, max_factors=10**4, **budget)
+    with pytest.raises(InputError, match=f"more than {MAX_RANDOM_STEPS}; lower trials"):
+        _check_budget(1, False, trials=1, max_factors=10**4 + 1, **budget)
+    with pytest.raises(InputError, match="the random pass would take"):
+        _check_budget(1, True, trials=2, max_factors=7072, **budget)
+    for checker in (check_spreadable, check_stationary, check_gauge_invariant):
+        with pytest.raises(InputError, match="the random pass would take"):
+            checker(TRACE, BETA_HALF, trials=50, max_factors=10**8, exhaustive=False)
+    # no nonzero exponent or no trial: nothing is drawn
+    _check_budget(1, False, trials=50, max_factors=10**8, max_index=2, max_exponent=0)
+    _check_budget(1, False, trials=0, max_factors=10**8, **budget)
+
+
+def test_witness_action_labels():
+    # the spreadable witness's action line
+    assert compose(PartialShift(0), Shift(1)).describe() == "theta_0 o tau"
+    assert compose().describe() == "id"
+    assert Shift(1).describe() == "tau"
