@@ -12,21 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .algebra import TorusAlgebra
-from .deformation import InputError, isotropy, parse_beta
-from .expr import format_complex, format_element, parse
-from .oracle import brute_n0, gram_psd, matrix_rep, matrix_trace_eval, toeplitz_psd
-from .states import (
-    CesaroState,
-    ProductState,
-    TRACE,
-    clustering_gap,
-    evaluate,
-    load_state,
-)
-from .symmetry import check_gauge_invariant, check_spreadable, check_stationary
+from .deformation import InputError, parse_beta
 
 
 def _add_common(sub, state=False, seed=False):
@@ -113,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_n0(args) -> int:
-    beta = parse_beta(args.alpha)
-    iso = isotropy(beta)
+    from .deformation import isotropy
+
+    iso = isotropy(parse_beta(args.alpha))
     if iso.generator is None:
         print("Delta_alpha = {0}")
     else:
@@ -122,9 +110,19 @@ def _cmd_n0(args) -> int:
     return 0
 
 
+def _parse(beta, *texts) -> list:
+    """Each expression text parsed in the one algebra at beta."""
+    from .algebra import TorusAlgebra
+    from .expr import parse
+
+    algebra = TorusAlgebra(beta)
+    return [parse(text, algebra) for text in texts]
+
+
 def _cmd_normal_form(args) -> int:
-    algebra = TorusAlgebra(parse_beta(args.alpha))
-    x = parse(args.expr, algebra)
+    from .expr import format_element
+
+    [x] = _parse(parse_beta(args.alpha), args.expr)
     text = format_element(x)
     print(f"input: {args.expr}")
     print(f"normal form: {text}")
@@ -132,20 +130,25 @@ def _cmd_normal_form(args) -> int:
 
 
 def _load(args):
+    from .states import load_state
+
     beta = parse_beta(args.alpha)
     return beta, load_state(args.state, mode=args.mode)
 
 
 def _cmd_eval(args) -> int:
+    from .states import evaluate
+
     beta, state = _load(args)
-    algebra = TorusAlgebra(beta)
-    x = parse(args.expr, algebra)
+    [x] = _parse(beta, args.expr)
     _print_value("exact", evaluate(state, x, mode=args.mode))
     return 0
 
 
 def _print_value(label: str, value) -> None:
     """An exact value and then its float, or a float-mode (complex) value alone."""
+    from .expr import format_complex
+
     if isinstance(value, complex):
         print(f"float: {format_complex(value)}")
         return
@@ -159,6 +162,8 @@ def _print_value(label: str, value) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .symmetry import check_gauge_invariant, check_spreadable, check_stationary
+
     beta, state = _load(args)
     common = dict(
         trials=args.trials,
@@ -181,11 +186,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cesaro(args) -> int:
+    from fractions import Fraction
+
+    from .states import CesaroState, evaluate
+
     beta, state = _load(args)
     if args.mode == "float":
         raise InputError("the cesaro command runs in exact mode")
-    algebra = TorusAlgebra(beta)
-    x = parse(args.expr, algebra)
+    [x] = _parse(beta, args.expr)
     averaged = CesaroState(args.half_width, state)
     phi_n = evaluate(averaged, x)
     phi = evaluate(state, x)
@@ -205,25 +213,30 @@ def _cmd_cesaro(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    from .states import clustering_gap
+
     beta, state = _load(args)
-    algebra = TorusAlgebra(beta)
-    x = parse(args.x, algebra)
-    y = parse(args.y, algebra)
+    x, y = _parse(beta, args.x, args.y)
     _print_value("gap", clustering_gap(state, x, y, args.distance, mode=args.mode))
     return 0
 
 
 def _cmd_oracle_n0(args) -> int:
+    from .oracle import brute_n0
+
     print(f"n0 = {brute_n0(args.denominator)}")
     return 0
 
 
 def _cmd_oracle_trace(args) -> int:
+    from .expr import format_complex
+    from .oracle import matrix_rep, matrix_trace_eval
+    from .states import TRACE, evaluate
+
     beta = parse_beta(args.alpha)
     if not beta.is_rational:
         raise InputError("the matrix model needs rational beta")
-    algebra = TorusAlgebra(beta)
-    x = parse(args.expr, algebra)
+    [x] = _parse(beta, args.expr)
     rep = matrix_rep(beta.numerator, beta.denominator, args.gens)
     numeric = 0j
     for word, coeff in x.terms():
@@ -238,10 +251,12 @@ def _cmd_oracle_trace(args) -> int:
 
 
 def _cmd_oracle_psd(args) -> int:
+    from .oracle import gram_psd, toeplitz_psd
+    from .states import ProductState
+
     beta, state = _load(args)
     if args.words is not None and len(args.words) > 0:
-        algebra = TorusAlgebra(beta)
-        elements = [parse(text, algebra) for text in args.words]
+        elements = _parse(beta, *args.words)
         verdict = gram_psd(state, elements, mode=args.mode)
         print(f"gram matrix ({len(elements)} words): {verdict.describe()}")
     else:

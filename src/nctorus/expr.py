@@ -259,6 +259,9 @@ def format_terms(pairs) -> str:
                 tail = f"*E({m}){text}" if m else text
                 close = f"/{level}){tail}"
                 primes = [p for p, _ in factorize(level)]
+                # at a prime level the exponents lie in [0, level) in increasing
+                # order, so only a run that starts at 0 holds a multiple of it
+                prime = primes == [level]
                 weights: dict[int, str] = {}
                 end = 0
                 for n, group in groupby(ns):
@@ -270,7 +273,8 @@ def format_terms(pairs) -> str:
                         weight = weights[n] = str(Fraction(abs(n), den))
                     head = "e(" if n == den else weight + "*e("
                     # a level-1 form is the one term e(0), which is not written e(0/1)
-                    if len(run) > 1 and all(all(map(p.__rmod__, run)) for p in primes):
+                    if len(run) > 1 and (run[0] != 0 if prime else
+                                         all(all(map(p.__rmod__, run)) for p in primes)):
                         out += (sign, head, (close + sign + head).join(map(str, run)), close)
                         continue
                     for a in run:

@@ -525,7 +525,10 @@ def hermitian_psd_float(matrix: list[list[complex]] | np.ndarray) -> PsdVerdict:
 
     The Hermitian part (M + M*)/2 is used, which carries the real part of
     the quadratic form; for a genuine state Gram matrix the two coincide.
+    The empty matrix is PSD, as on the exact path.
     """
+    if len(matrix) == 0:
+        return PsdVerdict(True)
     import numpy as np
 
     m = np.asarray(matrix, dtype=complex)

@@ -339,6 +339,19 @@ def reference_text(pc):
     return reference_format(TorusAlgebra(IRRATIONAL).scalar(pc))
 
 
+@pytest.mark.parametrize("level", [5, 7, 101, 1009])
+@pytest.mark.parametrize("start", [0, 1])
+def test_equal_weight_runs_at_a_prime_level_print_as_reference(level, start):
+    # at a prime level only a run that starts at exponent 0 holds a multiple
+    # of the level; the printer tests that first exponent alone
+    for weight in (1, F(-2, 3)):
+        for width in (2, 3):
+            pc = PhaseCoefficient({(F(a, level), 0): weight
+                                   for a in range(start, start + width)})
+            assert pc.canonical_form()[0][3][0] == start
+            assert str(pc) == reference_text(pc)
+
+
 # odd squarefree, prime powers and other levels whose residue classes have a
 # stride above 1, and levels divisible by 4, where _half_turn rewrites
 FORM_LEVELS = [3, 15, 21, 105, 231, 385,

@@ -555,6 +555,51 @@ def test_cli_import_leaves_numpy_unloaded(state_files):
                            "gram matrix (3 words): positive semidefinite\n")
 
 
+# the nctorus.* modules loaded after import nctorus, import nctorus.cli and
+# then each command in turn: every command adds only the modules it uses
+COMMAND_MODULES = [
+    ("import nctorus", []),
+    ("import nctorus.cli", ["cli", "deformation"]),
+    ("n0", ["cli", "deformation"]),
+    ("normal-form", ["algebra", "cli", "deformation", "expr", "scalars"]),
+    ("eval", ["algebra", "cli", "deformation", "expr", "scalars", "states"]),
+    ("check", ["algebra", "cli", "deformation", "expr", "scalars", "states", "symmetry"]),
+    ("oracle", ["algebra", "cli", "deformation", "expr", "oracle", "scalars", "states",
+                "symmetry"]),
+]
+
+
+def test_each_command_loads_only_its_modules(state_files):
+    child = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(n[8:] for n in sys.modules if n.startswith('nctorus.'))\n"
+        "import nctorus\n"
+        "steps = [('import nctorus', loaded())]\n"
+        "import nctorus.cli\n"
+        "steps.append(('import nctorus.cli', loaded()))\n"
+        "trace, prod = sys.argv[1:]\n"
+        "for argv in (['n0', '--alpha', '1/2'],\n"
+        "             ['normal-form', '--alpha', '1/2', 'u[1]*u[0]'],\n"
+        "             ['eval', '--alpha', '1/2', '--state', trace, 'u[0]*u[0]^-1'],\n"
+        "             ['check', 'spreadable', '--alpha', '1/2', '--state', trace,\n"
+        "              '--trials', '5', '--no-exhaustive'],\n"
+        "             ['oracle', 'psd', '--alpha', '1/2', '--state', prod, '--order', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert nctorus.cli.main(argv) == 0, argv\n"
+        "    steps.append((argv[0], loaded()))\n"
+        "print(json.dumps(steps))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nctorus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", child, state_files["trace"],
+                           state_files["prod"]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert [tuple(step) for step in json.loads(done.stdout)] == COMMAND_MODULES
+
+
 # short text over the expression alphabet: generators, punctuation, the
 # phase name e, a stray letter, digits and spaces
 EXPRESSION_TEXT = st.text(alphabet="u[]^()*+-/ei0123456789 ", max_size=16)

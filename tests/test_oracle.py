@@ -447,6 +447,12 @@ class TestGram:
         assert verdict.min_eigenvalue < -1e-6
         assert abs(verdict.min_eigenvalue - (1 - 2**0.5)) < 1e-9
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_empty_family_is_psd_in_both_modes(self, mode):
+        verdict = gram_psd(TRACE, [], mode=mode)
+        assert verdict.is_psd and verdict.witness is None
+        assert verdict.describe() == "positive semidefinite"
+
 
 def private_scalars_uses(source: str) -> list[str]:
     """Underscore names that the source imports from scalars or reads off it."""
