@@ -23,7 +23,7 @@ for num, den in [(1, 2), (1, 4), (3, 8), (1, 12), (5, 72), (1, 1)]:
     iso = isotropy(beta)
     factors = " * ".join(f"{p}^{m}" for p, m in beta.denominator_factors) or "1"
     print(f"{str(beta):10}  {factors:22}  {iso.generator:3}   "
-          f"roots of unity of order {iso.annihilator_order}")
+          f"roots of unity of order {iso.generator}")
 
 iso = isotropy(IRRATIONAL)
 print(f"{'irrational':10}  {'-':22}    -   the whole circle\n")

@@ -22,7 +22,6 @@ from nctorus import (
     TorusAlgebra,
     canonicalize,
     evaluate,
-    state_to_json,
     state_from_json,
     validate_state,
 )
@@ -70,6 +69,6 @@ print("phi_1(x) =", evaluate(ces, x), " phi_1(tau x) =",
       evaluate(ces, algebra.word([(2, 2), (3, 2)])))
 
 print("\n== structured text format ==")
-blob = json.dumps(state_to_json(block), indent=2)
+blob = json.dumps(block.to_json(), indent=2)
 print(blob)
 print("round trips:", state_from_json(json.loads(blob)) == block)

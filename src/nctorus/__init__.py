@@ -24,7 +24,7 @@ _EXPORTS = {
     "deformation": (
         "IRRATIONAL", "DeformationParameter", "InputError", "IsotropySubgroup",
         "canonicalize", "factorize", "isotropy", "isotropy_generator_table",
-        "parse_beta", "twist_exponent",
+        "parse_beta",
     ),
     "expr": ("ParseError", "format_complex", "format_element", "parse"),
     "oracle": (
@@ -33,12 +33,11 @@ _EXPORTS = {
         "hermitian_psd_exact", "hermitian_psd_float", "matrix_rep", "matrix_trace_eval",
         "n0_table", "toeplitz_psd",
     ),
-    "scalars": ("PhaseCoefficient", "QQi", "cyclotomic_polynomial"),
+    "scalars": ("PhaseCoefficient", "QQi"),
     "states": (
         "BlockProductState", "CesaroState", "InadmissibleMomentsError", "MixtureState",
         "MomentSequence", "ProductState", "StateSpec", "TRACE", "Trace", "clustering_gap",
-        "describe_state", "evaluate", "evaluate_word", "is_stationary_evaluable",
-        "load_state", "state_from_json", "state_to_json", "validate_state",
+        "evaluate", "evaluate_word", "load_state", "state_from_json", "validate_state",
     ),
     "symmetry": (
         "CheckReport", "Composite", "Counterexample", "IDENTITY", "IncreasingMap",

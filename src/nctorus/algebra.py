@@ -19,6 +19,10 @@ from .scalars import PC_ONE, PC_ZERO, PhaseCoefficient
 
 Word = tuple[tuple[int, int], ...]
 EMPTY_WORD: Word = ()
+# Largest product of two elements, in pairs of terms.  The tests, demos and
+# benchmark workloads form at most 27; 14 binomials on distinct generators,
+# 2**14 pairs in the last product, expand and print in about 0.8 s.
+MAX_PRODUCT_PAIRS = 2**14
 
 
 def split_at(word: Word, index: int) -> tuple[Word, int, Word, int]:
@@ -110,12 +114,8 @@ class TorusAlgebra:
 
     def word(self, factors: Iterable[tuple[int, int]], coefficient=1) -> Element:
         """Element for one monomial, normal-ordered with its twist folded in."""
-        return self.from_terms([(factors, coefficient)])
-
-    def from_terms(self, terms: Iterable[tuple[Iterable[tuple[int, int]], object]]) -> Element:
         acc: dict[Word, PhaseCoefficient] = {}
-        for factors, c in terms:
-            self._accumulate(acc, _as_phase(c), factors)
+        self._accumulate(acc, _as_phase(coefficient), factors)
         return Element(self, acc)
 
     def _accumulate(self, acc: dict[Word, PhaseCoefficient], coeff: PhaseCoefficient,
@@ -204,6 +204,9 @@ class Element:
                 self.algebra, {w: c * coeff for w, c in self._terms.items()}
             )
         self._check_same_algebra(other)
+        if len(self._terms) * len(other._terms) > MAX_PRODUCT_PAIRS:
+            raise InputError(f"a product of {len(self)} by {len(other)} terms "
+                             f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
         accumulate = self.algebra._accumulate
         out: dict[Word, PhaseCoefficient] = {}
         for w1, c1 in self._terms.items():

@@ -126,14 +126,6 @@ class IsotropySubgroup:
 
     generator: int | None
 
-    @property
-    def whole_circle_annihilator(self) -> bool:
-        return self.generator is None
-
-    @property
-    def annihilator_order(self) -> int | None:
-        return self.generator
-
     def contains(self, k: int) -> bool:
         if self.generator is None:
             return k == 0
@@ -165,14 +157,6 @@ def isotropy(beta: DeformationParameter) -> IsotropySubgroup:
     for p, m in beta.denominator_factors:
         n *= p ** ((m + 1) // 2)
     return IsotropySubgroup(n)
-
-
-def twist_exponent(k: int, l: int) -> int:
-    """Integer m with swap phase e^(2*pi*i*beta*m) between powers k and l.
-
-    Plain product; Python integers are arbitrary precision, so no overflow.
-    """
-    return k * l
 
 
 def isotropy_generator_table(limit: int) -> list[int]:

@@ -280,6 +280,10 @@ def n0_table(limit: int) -> list[int]:
 # Each D x D complex factor takes 16 D^2 bytes: three per matrix_rep cache
 # entry and 64 entries stay under 200 MiB at D = 256.
 MAX_MATRIX_MODULUS = 256
+# Largest slot walk of matrix_trace_eval, in multiply-adds: one D x D product
+# per factor and slot up to the factor's index, each D^3 and at least 48^3
+# in per-call overhead: about 1-2 s at any D on a 2-core Xeon VM.
+MAX_MATRIX_WORK = 2**32
 
 
 class MatrixRep:
@@ -408,6 +412,8 @@ def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
                 "the matrix trace wraps mod D there and stops matching the "
                 "canonical trace"
             )
+    if sum(i for i, e in factors if e) * max(d, 48) ** 3 > MAX_MATRIX_WORK:
+        raise InputError(f"the matrix trace walk exceeds {MAX_MATRIX_WORK} multiply-adds")
     value = 1.0 + 0j
     # a slot above every index holds the identity and contributes tr(I)/D = 1
     for slot in range(1, max(totals, default=0) + 1):

@@ -18,7 +18,6 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm, pi
 from operator import add, sub
@@ -153,29 +152,6 @@ def _times_phi(c: list[int], divisors, power: int) -> None:
                 _times_one_minus(c, d)
             else:
                 _over_one_minus(c, d)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    if n > MAX_LEVEL:
-        raise InputError(f"cyclotomic level {n} exceeds the limit {MAX_LEVEL}")
-    if n == 1:
-        return (-1, 1)
-    primes = [p for p, _ in factorize(n)]
-    rad = deg = 1
-    for p in primes:
-        rad *= p
-        deg *= p - 1
-    # the product form is exact once truncated past degree phi(rad)
-    poly = [1] + [0] * deg
-    _times_phi(poly, _mobius_divisors(primes), 1)
-    # Phi_n(x) = Phi_rad(x**(n/rad)) for rad the squarefree kernel of n
-    out = [0] * (deg * (n // rad) + 1)
-    out[::n // rad] = poly
-    return tuple(out)
 
 
 def _add_into(out: dict, key, r) -> None:
@@ -406,14 +382,6 @@ class PhaseCoefficient:
         return pc
 
     @classmethod
-    def zero(cls) -> PhaseCoefficient:
-        return PC_ZERO
-
-    @classmethod
-    def one(cls) -> PhaseCoefficient:
-        return PC_ONE
-
-    @classmethod
     def from_rational(cls, r) -> PhaseCoefficient:
         r = _as_fraction(r)
         if not r:
@@ -556,10 +524,6 @@ class PhaseCoefficient:
             for a, n in zip(exps, ns):
                 out[(Fraction(a, level), m)] = weights[n]
         return PhaseCoefficient._make(out)
-
-    def canonical_terms(self) -> list[tuple[Fraction, int, Fraction]]:
-        """Reduced (angle, symbolic power, rational weight) triples, sorted."""
-        return [(q, m, r) for (q, m), r in self.reduce()._terms.items()]
 
     def to_qqi(self) -> QQi | None:
         """The value as a Gaussian rational, or None when it is not one."""

@@ -417,20 +417,6 @@ class MixtureState(StateSpec):
         return {"kind": "mixture", "parts": parts}
 
 
-def is_stationary_evaluable(state: StateSpec) -> bool:
-    """Whether a state may serve as the base of a block product.
-
-    Shift invariance of the base is what makes the blockwise restriction
-    well defined; block products themselves are only periodically shift
-    invariant and are therefore excluded.
-    """
-    return state.is_shift_invariant()
-
-
-def describe_state(state: StateSpec) -> str:
-    return state.describe()
-
-
 def validate_state(state: StateSpec, beta: DeformationParameter,
                    *, mode: str = "exact") -> None:
     """Reject states that cannot be evaluated at the given deformation.
@@ -504,11 +490,6 @@ def _scalar_from_json(value, exact: bool):
         return float(value)
     except OverflowError:
         raise InputError("numeric value too large for a float") from None
-
-
-def state_to_json(state: StateSpec) -> dict:
-    """Structured description; inverse of state_from_json for exact states."""
-    return state.to_json()
 
 
 def _json_int(value, what: str) -> int:

@@ -18,7 +18,7 @@ from .algebra import TorusAlgebra, Word, normal_form, split_at, word_degree
 from .deformation import DeformationParameter, InputError, isotropy
 from .expr import format_word
 from .scalars import PhaseCoefficient
-from .states import EXACT, StateSpec, describe_state, scalar_field, validate_state
+from .states import EXACT, StateSpec, scalar_field, validate_state
 
 
 class IncreasingMap:
@@ -188,13 +188,6 @@ def iter_normal_words(max_factors: int, max_index: int,
                     if depth < max_factors:
                         nxt.append(entry)
         layer = nxt
-
-
-def iter_factor_words(max_factors: int, max_index: int,
-                      max_exponent: int) -> Iterator[Word]:
-    """All factor sequences within the budget, the empty word included."""
-    for factors, _, _ in iter_normal_words(max_factors, max_index, max_exponent):
-        yield factors
 
 
 def random_factor_word(rng: random.Random, max_factors: int, max_index: int,
@@ -383,7 +376,7 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     def failed(cases, done, factors, action, before, after):
         cx = Counterexample(format_word(factors) or "1", label(action),
                             str(before), str(after))
-        return CheckReport(name, describe_state(state), False, cases, done, cx, budget)
+        return CheckReport(name, state.describe(), False, cases, done, cx, budget)
 
     cases = 0
     if exhaustive:
@@ -412,7 +405,7 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         after = image(twist, nf, base, act(action))
         if not field.equal(after, base):
             return failed(cases, t + 1, factors, action, base, after)
-    return CheckReport(name, describe_state(state), True, cases, trials, None, budget)
+    return CheckReport(name, state.describe(), True, cases, trials, None, budget)
 
 
 def _index_map_move(h):

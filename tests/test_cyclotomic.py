@@ -1,5 +1,5 @@
-"""Sparse cyclotomic kernel: differential tests against the dense reference,
-cost in terms rather than in level, and the level limit."""
+"""Sparse cyclotomic kernel: differential tests against the dense reference
+and cost in terms rather than in level."""
 
 import cmath
 import hashlib
@@ -8,13 +8,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from nctorus import (IRRATIONAL, PhaseCoefficient, QQi, TorusAlgebra, canonicalize,
-                     cyclotomic_polynomial, factorize, format_element, parse, scalars)
-from nctorus.deformation import MAX_LEVEL, InputError
+                     factorize, format_element, parse, scalars)
 from nctorus.expr import format_word
-from nctorus.oracle import brute_phase_is_zero, brute_phase_reduce, brute_phase_to_qqi
+from nctorus.oracle import (brute_cyclotomic_polynomial, brute_phase_is_zero,
+                            brute_phase_reduce, brute_phase_to_qqi)
 
 F = Fraction
 
@@ -127,12 +127,7 @@ def test_equal_values_print_equal(x, relations):
 
 
 @pytest.mark.parametrize("level", [100003, 1000003])
-def test_zero_and_gaussian_tests_cost_terms_not_level(level, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"the dense path built Phi_{n}")
-
-    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
-
+def test_zero_and_gaussian_tests_cost_terms_not_level(level):
     def pc(*terms):
         return PhaseCoefficient([((F(q), m), F(r)) for q, m, r in terms])
 
@@ -150,12 +145,6 @@ def test_zero_and_gaussian_tests_cost_terms_not_level(level, monkeypatch):
     assert pc((a, 0, 1), (0, 0, 2)).to_qqi() is None
     assert pc((a, 0, 1), (-a, 0, 1)).to_qqi() is None  # 2 cos(2 pi / level)
     assert pc((a, 0, 1), (a + half, 0, 1), (a, 2, 1)).to_qqi() is None
-
-
-def test_cyclotomic_polynomial_level_limit():
-    with pytest.raises(InputError, match="exceeds the limit"):
-        cyclotomic_polynomial(MAX_LEVEL + 1)
-    assert MAX_LEVEL >= 1000003
 
 
 @pytest.mark.parametrize("sum_", [
@@ -182,7 +171,7 @@ def test_inverse_root_is_one_pass_over_phi():
     # x**-1 = -sum_{j>=1} c_j x**(j-1) for Phi_L = sum c_j x**j; the dense
     # reference is too slow at L = 15015
     level = 15015
-    coeffs = cyclotomic_polynomial(level)
+    coeffs = brute_cyclotomic_polynomial(level)
     inverse = {(F(j - 1, level), 0): F(-c) for j, c in enumerate(coeffs) if j and c}
     pc = PhaseCoefficient({(F(level - 1, level), 0): 1})
     assert pc.reduce()._terms == inverse
@@ -200,7 +189,7 @@ def spread_sums(draw, levels):
     phi(L), near L, half-way between them, and uniform, with big-integer
     weights."""
     level = draw(st.sampled_from(levels))
-    deg = len(cyclotomic_polynomial(level)) - 1
+    deg = len(brute_cyclotomic_polynomial(level)) - 1
 
     def near(c):
         return st.integers(max(0, c - 3), min(level - 1, c + 3))
@@ -225,9 +214,10 @@ def test_exponents_anywhere_match_dense_reference(pc):
 
 @pytest.mark.parametrize("level", [1155, 4620])
 @given(data=st.data())
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2, deadline=None, phases=set(Phase) - {Phase.shrink})
 def test_exponents_anywhere_match_dense_reference_at_smooth_levels(level, data):
-    # the dense reference costs the most per sum at these levels
+    # the dense reference costs the most per sum at these levels, so a failure
+    # is reported as drawn: shrinking its big weights would take a minute
     assert_reduces_like_reference(data.draw(spread_sums([level])))
 
 
@@ -237,7 +227,7 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
         product = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                phi = cyclotomic_polynomial(d)
+                phi = brute_cyclotomic_polynomial(d)
                 out = [0] * (len(product) + len(phi) - 1)
                 for i, a in enumerate(product):
                     if a:
@@ -270,10 +260,6 @@ def test_middle_exponent_costs_passes_per_class(pc, level, monkeypatch):
     # a squarefree level has one residue class, which takes one quotient and
     # one product by Phi_level: a pass per divisor each, wherever the
     # exponents lie
-    def refuse(n):
-        raise AssertionError(f"the reduction built Phi_{n}")
-
-    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
     passes = []
     for name in ("_times_one_minus", "_over_one_minus"):
         def counted(c, d, helper=getattr(scalars, name)):
@@ -288,10 +274,10 @@ def test_middle_exponent_costs_passes_per_class(pc, level, monkeypatch):
 
 
 def reference_format(x):
-    """format_element rebuilt from the canonical_terms() Fractions."""
+    """format_element rebuilt from the reduce() Fractions."""
     parts = []
     for word, coeff in x.terms():
-        for angle, power, weight in coeff.canonical_terms():
+        for (angle, power), weight in coeff.reduce()._terms.items():
             bits = [f"e({angle})"] if angle else []
             bits += [f"E({power})"] if power else []
             bits += [format_word(word)] if word else []
@@ -364,7 +350,7 @@ FORM_LEVELS = [3, 15, 21, 105, 231, 385,
 def test_canonical_form_lists_are_ordered_and_in_lowest_terms(pc):
     for m, level, den, exps, ns in pc.canonical_form():
         # only _half_turn, at even levels, moves an exponent above phi(level)
-        top = level if level % 2 == 0 else len(cyclotomic_polynomial(level)) - 1
+        top = level if level % 2 == 0 else len(brute_cyclotomic_polynomial(level)) - 1
         assert exps == sorted(set(exps)) and 0 <= exps[0] and exps[-1] < top
         assert len(ns) == len(exps) and all(type(n) is int and n for n in ns)
         assert gcd(den, *ns) == 1

@@ -14,7 +14,6 @@ from nctorus import (
     isotropy,
     isotropy_generator_table,
     parse_beta,
-    twist_exponent,
 )
 from nctorus.deformation import MAX_LEVEL
 
@@ -86,7 +85,6 @@ def test_isotropy_integer_beta():
 def test_isotropy_irrational():
     iso = isotropy(IRRATIONAL)
     assert iso.generator is None
-    assert iso.whole_circle_annihilator
     assert iso.contains(0) and not iso.contains(2)
     with pytest.raises(InputError):
         iso.annihilator_angles()
@@ -126,14 +124,6 @@ def test_subgroup_closed_under_addition(den, a, b):
 def test_isotropy_pure_function():
     beta = canonicalize(5, 12)
     assert isotropy(beta) == isotropy(beta)
-
-
-def test_twist_exponent():
-    assert twist_exponent(2, 3) == 6
-    assert twist_exponent(0, 7) == 0
-    assert twist_exponent(-2, 5) == -10
-    huge = 10**30
-    assert twist_exponent(huge, huge) == huge * huge
 
 
 def test_generator_table_matches_pointwise():

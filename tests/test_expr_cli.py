@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -680,6 +681,28 @@ def test_oracle_trace_ignores_slots_above_the_word(capsys):
     many = run_cli(capsys, ["oracle", "trace", "--alpha", "1/5", "--gens", "1000000", word])
     assert many == few
     assert few[0] == 0
+
+
+def test_oracle_trace_walk_is_bounded(capsys):
+    # u[100000] at D = 256 would form 10**5 products of 256 x 256 matrices
+    from nctorus.oracle import MAX_MATRIX_WORK
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["oracle", "trace", "--alpha", "1/256",
+                                      "--gens", "1000000", "u[100000]"])
+    assert (code, out) == (2, "")
+    assert f"exceeds {MAX_MATRIX_WORK} multiply-adds" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_product_term_pairs_are_bounded(capsys):
+    # 24 binomials on distinct generators would expand to 2**24 words
+    from nctorus.algebra import MAX_PRODUCT_PAIRS
+
+    product = "*".join(f"(u[{2 * i}]+u[{2 * i + 1}])" for i in range(24))
+    code, out, err = run_cli(capsys, ["normal-form", "--alpha", "1/2", product])
+    assert (code, out) == (2, "")
+    assert f"exceeds {MAX_PRODUCT_PAIRS} term pairs" in err
 
 
 def test_oracle_trace_denominator_is_bounded(capsys):

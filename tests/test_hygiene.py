@@ -1,8 +1,11 @@
-"""Dead-code checks on the package source, built on the standard library's ast.
+"""Dead-code and layering checks on the package source, built on the
+standard library's ast.
 
 Every module of src/nctorus/ other than __init__.py (which re-exports) uses
-each name it imports, and every module-level _private function, class or
-constant is referenced somewhere in src/ outside its own definition.
+each name it imports, every module-level _private function, class or
+constant is referenced somewhere in src/ outside its own definition, and
+only the command line imports the oracle, so that the reference
+implementations stay references.
 """
 
 import ast
@@ -66,6 +69,20 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+def imports_oracle(source: str) -> bool:
+    """Whether the source imports the oracle module or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(module.split(".")[-1] == "oracle" for module in modules):
+            return True
+    return False
+
+
 def package_sources() -> dict[str, str]:
     return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -93,3 +110,16 @@ def test_checks_see_dead_code():
     assert unreferenced_privates({"m.py": source}) == ["m.py:_DEAD", "m.py:_recursive"]
     assert unreferenced_privates({"m.py": source, "n.py": "from .m import _DEAD\n"}) == [
         "m.py:_recursive"]
+
+
+def test_only_the_command_line_imports_the_oracle():
+    assert [module for module, source in package_sources().items()
+            if module != "cli.py" and imports_oracle(source)] == []
+
+
+def test_oracle_check_sees_each_import_form():
+    for source in ("from .oracle import brute_n0\n", "from . import oracle\n",
+                   "import nctorus.oracle\n", "from nctorus import algebra, oracle\n",
+                   "def f():\n    from nctorus.oracle import gram_psd\n"):
+        assert imports_oracle(source), source
+    assert not imports_oracle("from .states import evaluate\nORACLE = 'oracle'\n")

@@ -13,18 +13,16 @@ EXPORTS = {
         apply_index_map degree_zero_part divisible_exponent_part gauge_orbit_numeric
         normal_form translate word_degree word_translate""",
     "deformation": """IRRATIONAL DeformationParameter InputError IsotropySubgroup
-        canonicalize factorize isotropy isotropy_generator_table parse_beta
-        twist_exponent""",
+        canonicalize factorize isotropy isotropy_generator_table parse_beta""",
     "expr": "ParseError format_complex format_element parse",
     "oracle": """MatrixRep PsdVerdict brute_cesaro_word brute_n0 brute_normal_form
         brute_phase_is_zero brute_phase_reduce brute_phase_to_qqi gram_psd
         hermitian_psd_exact hermitian_psd_float matrix_rep matrix_trace_eval n0_table
         toeplitz_psd""",
-    "scalars": "PhaseCoefficient QQi cyclotomic_polynomial",
+    "scalars": "PhaseCoefficient QQi",
     "states": """BlockProductState CesaroState InadmissibleMomentsError MixtureState
-        MomentSequence ProductState StateSpec TRACE Trace clustering_gap describe_state
-        evaluate evaluate_word is_stationary_evaluable load_state state_from_json
-        state_to_json validate_state""",
+        MomentSequence ProductState StateSpec TRACE Trace clustering_gap evaluate
+        evaluate_word load_state state_from_json validate_state""",
     "symmetry": """CheckReport Composite Counterexample IDENTITY IncreasingMap
         PartialShift Shift TableMap check_gauge_invariant check_spreadable
         check_stationary compose random_increasing_map""",
@@ -34,7 +32,7 @@ PUBLIC = sorted([*EXPORTS, *HOME])
 
 
 def test_public_names_are_frozen():
-    assert len(PUBLIC) == 83
+    assert len(PUBLIC) == 78
     assert sorted(nctorus.__all__) == PUBLIC
 
 

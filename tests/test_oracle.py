@@ -479,29 +479,25 @@ def test_oracle_stays_independent_of_the_scalar_kernel():
 
 
 def test_oracle_builds_its_own_cyclotomic_polynomials(monkeypatch):
-    # the dense residues must not lean on the kernel's product-form Phi_n
+    # the dense residues must not lean on the kernel's product-form passes
     from nctorus import PhaseCoefficient, scalars
 
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    names = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name")}
-    assert "cyclotomic_polynomial" not in names
-
-    def refuse(n):
-        raise AssertionError("the oracle called scalars.cyclotomic_polynomial")
-
-    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
     pc = PhaseCoefficient([((F(j, 105), 0), F(1)) for j in (1, 4, 11, 16, 29)])
-    assert oracle.brute_phase_reduce(pc)._terms == pc.reduce()._terms
+    expected = pc.reduce()._terms
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the kernel's Phi_n passes")
+
+    monkeypatch.setattr(scalars, "_times_phi", refuse)
+    oracle.brute_cyclotomic_polynomial.cache_clear()
+    assert oracle.brute_phase_reduce(pc)._terms == expected
 
 
 @pytest.mark.parametrize("levels", [range(1, 100), [1155, 4620]], ids=["below-100", "smooth"])
 def test_cyclotomic_polynomials_match_sympy(levels):
-    from nctorus import scalars
-
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for n in levels:
         coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         expected = tuple(int(c) for c in reversed(coeffs))
         assert oracle.brute_cyclotomic_polynomial(n) == expected
-        assert scalars.cyclotomic_polynomial(n) == expected

@@ -21,11 +21,8 @@ from nctorus import (
     TorusAlgebra,
     canonicalize,
     clustering_gap,
-    describe_state,
     evaluate,
-    is_stationary_evaluable,
     state_from_json,
-    state_to_json,
     translate,
     validate_state,
 )
@@ -121,7 +118,7 @@ class TestValidation:
             BlockProductState(1, BlockProductState(1, TRACE))
         BlockProductState(1, CesaroState(1, TRACE))
         BlockProductState(1, mixture_base())
-        assert not is_stationary_evaluable(BlockProductState(1, TRACE))
+        assert not BlockProductState(1, TRACE).is_shift_invariant()
 
     def test_mixture_weights(self):
         with pytest.raises(InputError):
@@ -368,7 +365,7 @@ class TestStateAxiomsSampled:
     def test_unitality(self):
         a = TorusAlgebra(BETA_HALF)
         for state in self.states():
-            assert evaluate(state, a.one()) == 1, describe_state(state)
+            assert evaluate(state, a.one()) == 1, state.describe()
 
     def test_hermitian(self):
         a = TorusAlgebra(BETA_HALF)
@@ -385,14 +382,14 @@ class TestStateAxiomsSampled:
             for _ in range(25):
                 x = self.random_element(a, rng)
                 value = evaluate(state, x.adjoint() * x).to_qqi()
-                assert value is not None, describe_state(state)
+                assert value is not None, state.describe()
                 assert value.im == 0
                 assert value.re >= 0
 
 
 class TestJson:
     def round_trip(self, state):
-        return state_from_json(json.loads(json.dumps(state_to_json(state))))
+        return state_from_json(json.loads(json.dumps(state.to_json())))
 
     def test_round_trips(self):
         for state in (
@@ -522,7 +519,7 @@ class TestStateFileHardening:
         from nctorus.states import MAX_STATE_DEPTH
 
         obj = self.nested(MAX_STATE_DEPTH, kind)
-        assert state_to_json(state_from_json(obj)) == obj
+        assert state_from_json(obj).to_json() == obj
         with pytest.raises(InputError, match="nest at most"):
             state_from_json(self.nested(MAX_STATE_DEPTH + 1, kind))
 

@@ -42,7 +42,6 @@ from nctorus.symmetry import (
     _check_budget,
     _index_map_move,
     _series,
-    iter_factor_words,
     iter_normal_words,
     random_factor_word,
     spreading_map_grammar,
@@ -114,7 +113,7 @@ class TestMaps:
     def test_grammar_sizes(self):
         maps = spreading_map_grammar(2, 2)
         assert len(maps) == 1 + 7 + 49
-        words = list(iter_factor_words(3, 2, 2))
+        words = list(iter_normal_words(3, 2, 2))
         assert len(words) == 1 + 20 + 400 + 8000
 
     def test_grammar_maps_strictly_increasing(self):
@@ -320,7 +319,7 @@ def test_normal_form_commutes_with_increasing_maps():
     maps = spreading_map_grammar()
     maps += [Shift(k) for k in (-3, -2, 2, 3)]
     maps += [random_increasing_map(-2, 2, rng) for _ in range(20)]
-    for factors in iter_factor_words(2, 2, 2):
+    for factors, _, _ in iter_normal_words(2, 2, 2):
         twist, nf = normal_form(factors)
         assert word_degree(nf) == sum(e for _, e in factors)
         for h in maps:
@@ -381,7 +380,6 @@ def reference_words(max_factors, max_index, max_exponent):
 def test_prefix_normal_forms_match_normal_form(budget):
     entries = list(iter_normal_words(*budget))
     assert [factors for factors, _, _ in entries] == reference_words(*budget)
-    assert list(iter_factor_words(*budget)) == reference_words(*budget)
     cancelled = 0
     for factors, twist, nf in entries:
         assert (twist, nf) == normal_form(factors) == brute_normal_form(factors), factors
