@@ -19,9 +19,11 @@ from .scalars import PC_ONE, PC_ZERO, PhaseCoefficient
 
 Word = tuple[tuple[int, int], ...]
 EMPTY_WORD: Word = ()
-# Largest product of two elements, in pairs of terms.  The tests, demos and
-# benchmark workloads form at most 27; 14 binomials on distinct generators,
-# 2**14 pairs in the last product, expand and print in about 0.8 s.
+# Largest product of two elements, in pairs of coefficient terms: each factor
+# counts the terms of all its coefficients, so a product of phase sums counts
+# like one of words.  The tests, demos and benchmark workloads form at most
+# 50; 14 binomials on distinct generators, 2**14 pairs in the last product,
+# expand and print in about 0.8 s.
 MAX_PRODUCT_PAIRS = 2**14
 
 
@@ -68,6 +70,13 @@ def word_degree(word: Word) -> int:
 
 def word_translate(word: Word, offset: int) -> Word:
     return tuple((i + offset, e) for i, e in word)
+
+
+def _check_pairs(left: int, right: int) -> None:
+    """Refuse a product whose factors hold left and right coefficient terms."""
+    if left * right > MAX_PRODUCT_PAIRS:
+        raise InputError(f"a product of {left} by {right} coefficient terms "
+                         f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
 
 
 def _as_phase(x) -> PhaseCoefficient:
@@ -197,16 +206,18 @@ class Element:
     def __rsub__(self, other) -> Element:
         return (-self) + other
 
+    def _coefficient_terms(self) -> int:
+        return sum(len(c._terms) for c in self._terms.values())
+
     def __mul__(self, other) -> Element:
         if not isinstance(other, Element):
             coeff = _as_phase(other)
+            _check_pairs(self._coefficient_terms(), len(coeff._terms))
             return Element(
                 self.algebra, {w: c * coeff for w, c in self._terms.items()}
             )
         self._check_same_algebra(other)
-        if len(self._terms) * len(other._terms) > MAX_PRODUCT_PAIRS:
-            raise InputError(f"a product of {len(self)} by {len(other)} terms "
-                             f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
+        _check_pairs(self._coefficient_terms(), other._coefficient_terms())
         accumulate = self.algebra._accumulate
         out: dict[Word, PhaseCoefficient] = {}
         for w1, c1 in self._terms.items():
@@ -217,6 +228,7 @@ class Element:
     def __rmul__(self, other) -> Element:
         # scalars commute with everything; Element * Element goes via __mul__
         coeff = _as_phase(other)
+        _check_pairs(len(coeff._terms), self._coefficient_terms())
         return Element(self.algebra, {w: coeff * c for w, c in self._terms.items()})
 
     def __truediv__(self, other) -> Element:

@@ -230,14 +230,14 @@ def _cmd_oracle_n0(args) -> int:
 
 def _cmd_oracle_trace(args) -> int:
     from .expr import format_complex
-    from .oracle import matrix_rep, matrix_trace_eval
+    from .oracle import MatrixRep, matrix_trace_eval
     from .states import TRACE, evaluate
 
     beta = parse_beta(args.alpha)
-    if not beta.is_rational:
-        raise InputError("the matrix model needs rational beta")
+    MatrixRep.check(beta)
     [x] = _parse(beta, args.expr)
-    rep = matrix_rep(beta.numerator, beta.denominator, args.gens)
+    MatrixRep.check(beta, args.gens, x.words())
+    rep = MatrixRep(beta, args.gens)
     numeric = 0j
     for word, coeff in x.terms():
         numeric += coeff.to_complex() * matrix_trace_eval(word, rep)

@@ -277,13 +277,15 @@ def n0_table(limit: int) -> list[int]:
     return out
 
 
-# Each D x D complex factor takes 16 D^2 bytes: three per matrix_rep cache
-# entry and 64 entries stay under 200 MiB at D = 256.
+# Each D x D complex factor takes 16 D^2 bytes and a product of two D^3
+# multiply-adds: at D = 256, 1 MiB, and a model is built and verified in
+# about 12 ms on a 2-core Xeon VM.
 MAX_MATRIX_MODULUS = 256
 # Largest slot walk of matrix_trace_eval, in multiply-adds: one D x D product
 # per factor and slot up to the factor's index, each D^3 and at least 48^3
 # in per-call overhead: about 1-2 s at any D on a 2-core Xeon VM.
 MAX_MATRIX_WORK = 2**32
+MATRIX_TOLERANCE = 1e-12  # verify's bound on unitarity and relation errors
 
 
 class MatrixRep:
@@ -300,19 +302,44 @@ class MatrixRep:
     """
 
     def __init__(self, beta: DeformationParameter, generators: int):
-        if not beta.is_rational:
-            raise InputError("the matrix model needs rational beta")
-        if beta.denominator > MAX_MATRIX_MODULUS:
-            raise InputError(f"the matrix model needs a denominator <= {MAX_MATRIX_MODULUS}")
-        if generators < 1:
-            raise InputError("need at least one generator")
+        self.check(beta, generators)
         self.beta = beta
         self.modulus = beta.denominator
         self.generators = generators
-        self.clock = self.clock_power(1)
-        self.step = self.step_power(1)
-        self.eye = self.step_power(0)
         self.verify()
+
+    @staticmethod
+    def check(beta: DeformationParameter, generators: int | None = None,
+              words=()) -> None:
+        """Refuse, in this order and before anything is built: irrational beta;
+        given m generators, D > MAX_MATRIX_MODULUS or m < 1; then each word of
+        (index, exponent) factors with an index outside 1..m, a total exponent
+        |a| >= D at one index, or a slot walk above MAX_MATRIX_WORK."""
+        if not beta.is_rational:
+            raise InputError("the matrix model needs rational beta")
+        if generators is None:
+            return
+        d = beta.denominator
+        if d > MAX_MATRIX_MODULUS:
+            raise InputError(f"the matrix model needs a denominator <= {MAX_MATRIX_MODULUS}")
+        if generators < 1:
+            raise InputError("need at least one generator")
+        for factors in words:
+            totals: dict[int, int] = {}
+            for i, e in factors:
+                if not 1 <= i <= generators:
+                    raise InputError(
+                        f"index {i} outside 1..{generators}; translate the word first")
+                totals[i] = totals.get(i, 0) + e
+            for i, a in totals.items():
+                if abs(a) >= d:
+                    raise InputError(
+                        f"total exponent {a} at index {i} reaches |{a}| >= D={d}; "
+                        "the matrix trace wraps mod D there and stops matching the "
+                        "canonical trace"
+                    )
+            if sum(i for i, e in factors if e) * max(d, 48) ** 3 > MAX_MATRIX_WORK:
+                raise InputError(f"the matrix trace walk exceeds {MAX_MATRIX_WORK} multiply-adds")
 
     @property
     def lam(self) -> complex:
@@ -321,36 +348,24 @@ class MatrixRep:
         n, d = self.beta.numerator, self.beta.denominator
         return complex(np.exp(2j * pi * n / d))
 
-    def clock_power(self, a: int) -> np.ndarray:
+    def slot_factor(self, gen: int, slot: int, exponent: int = 1) -> np.ndarray:
+        """Tensor factor of u_gen^exponent in position slot (both 1-based):
+        the clock's power below gen, the step's at gen, the identity above."""
         import numpy as np
 
         d = self.modulus
-        angles = 2 * pi * self.beta.numerator * np.arange(d) * a / d
-        return np.diag(np.exp(1j * angles))
-
-    def step_power(self, a: int) -> np.ndarray:
-        import numpy as np
-
-        d = self.modulus
-        out = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            out[(k - a) % d, k] = 1.0
-        return out
-
-    def slot_factor(self, gen: int, slot: int) -> np.ndarray:
-        """Tensor factor of generator gen (1-based) in position slot."""
-        if not 1 <= gen <= self.generators or not 1 <= slot <= self.generators:
-            raise InputError("generator and slot must lie in 1..m")
         if slot < gen:
-            return self.clock
-        if slot == gen:
-            return self.step
-        return self.eye
+            angles = 2 * pi * self.beta.numerator * np.arange(d) * exponent / d
+            return np.diag(np.exp(1j * angles))
+        eye = np.eye(d, dtype=complex)
+        return np.roll(eye, -exponent, axis=0) if slot == gen else eye
 
     def generator_matrix(self, gen: int) -> np.ndarray:
         """Dense D^m x D^m matrix of one generator (small sizes only)."""
         import numpy as np
 
+        if not 1 <= gen <= self.generators:
+            raise InputError("generator must lie in 1..m")
         size = self.modulus ** self.generators
         if size > 4096:
             raise InputError(
@@ -361,28 +376,25 @@ class MatrixRep:
             out = np.kron(out, self.slot_factor(gen, slot))
         return out
 
-    def verify(self, tolerance: float = 1e-12) -> None:
-        """Check unitarity and the commutation relations factorwise."""
+    def verify(self) -> None:
+        """Check unitarity and the clock-step relation of the two factors."""
         import numpy as np
 
-        d = self.modulus
-        for mat in (self.clock, self.step):
-            err = np.abs(mat @ mat.conj().T - np.eye(d)).max()
-            if err > tolerance:
+        clock, step = self.slot_factor(2, 1), self.slot_factor(1, 1)
+        for mat in (clock, step):
+            err = np.abs(mat @ mat.conj().T - np.eye(self.modulus)).max()
+            if err > MATRIX_TOLERANCE:
                 raise AssertionError(f"tensor factor not unitary: {err}")
-        lhs = self.step @ self.clock
-        rhs = self.lam * (self.clock @ self.step)
-        err = np.abs(lhs - rhs).max()
-        if err > tolerance:
+        err = np.abs(step @ clock - self.lam * (clock @ step)).max()
+        if err > MATRIX_TOLERANCE:
             raise AssertionError(f"clock-step relation fails by {err}")
 
     def __repr__(self) -> str:
         return f"MatrixRep(beta={self.beta}, generators={self.generators})"
 
 
-@lru_cache(maxsize=64)
 def matrix_rep(numerator: int, denominator: int, generators: int) -> MatrixRep:
-    """Memoized representation per (beta, generator count)."""
+    """The model at beta = numerator/denominator with the given generator count."""
     from .deformation import canonicalize
 
     return MatrixRep(canonicalize(numerator, denominator), generators)
@@ -398,33 +410,15 @@ def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
     """
     import numpy as np
 
+    MatrixRep.check(rep.beta, rep.generators, [factors])
     d = rep.modulus
-    m = rep.generators
-    totals: dict[int, int] = {}
-    for i, e in factors:
-        if not 1 <= i <= m:
-            raise InputError(f"index {i} outside 1..{m}; translate the word first")
-        totals[i] = totals.get(i, 0) + e
-    for i, a in totals.items():
-        if abs(a) >= d:
-            raise InputError(
-                f"total exponent {a} at index {i} reaches |{a}| >= D={d}; "
-                "the matrix trace wraps mod D there and stops matching the "
-                "canonical trace"
-            )
-    if sum(i for i, e in factors if e) * max(d, 48) ** 3 > MAX_MATRIX_WORK:
-        raise InputError(f"the matrix trace walk exceeds {MAX_MATRIX_WORK} multiply-adds")
     value = 1.0 + 0j
     # a slot above every index holds the identity and contributes tr(I)/D = 1
-    for slot in range(1, max(totals, default=0) + 1):
+    for slot in range(1, max((i for i, _ in factors), default=0) + 1):
         prod = np.eye(d, dtype=complex)
         for i, e in factors:
-            if e == 0:
-                continue
-            if slot < i:
-                prod = prod @ rep.clock_power(e)
-            elif slot == i:
-                prod = prod @ rep.step_power(e)
+            if e and slot <= i:
+                prod = prod @ rep.slot_factor(i, slot, e)
         value *= np.trace(prod) / d
     return complex(value)
 
@@ -569,8 +563,12 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
 
     The exact path needs every entry to be a Gaussian rational; otherwise
     (or on request) the floating eigensolve runs, which is also the path
-    that exhibits non-states built from inadmissible moments.
+    that exhibits non-states built from inadmissible moments.  Families
+    larger than the largest moment matrix, MAX_MOMENT_ORDER + 1, are refused.
     """
+    if len(elements) > MAX_MOMENT_ORDER + 1:
+        raise InputError(f"a Gram family of {len(elements)} elements exceeds the "
+                         f"limit {MAX_MOMENT_ORDER + 1}")
     exact = scalar_field(mode, beta_value) is EXACT
 
     def entry(x_star: Element, y: Element):

@@ -482,7 +482,7 @@ def _rational_from_json(value) -> Fraction:
 def _scalar_from_json(value, exact: bool):
     if exact:
         return _rational_from_json(value)
-    if isinstance(value, str):
+    if isinstance(value, (str, bool)):
         value = _rational_from_json(value)
     elif not isinstance(value, (int, float)):
         raise InputError(f"bad numeric value {value!r}")

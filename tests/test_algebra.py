@@ -179,6 +179,22 @@ class TestElement:
         with pytest.raises(InputError):
             a.u(0) * b.u(0)
 
+    def test_scalar_products_count_coefficient_terms(self):
+        from nctorus.algebra import MAX_PRODUCT_PAIRS
+
+        a = TorusAlgebra(BETA_QUARTER)
+        half = MAX_PRODUCT_PAIRS // 2
+        binomial = PhaseCoefficient.unit_angle(F(1, 3)) + 1
+        wide = a.scalar(PhaseCoefficient({(F(k, 65537), 0): 1 for k in range(half)}))
+        assert len((wide * binomial).coefficient(())._terms) == 2 * half
+        wider = wide + a.scalar(PhaseCoefficient.unit_angle(F(half, 65537)))
+        assert len((3 * wider).coefficient(())._terms) == half + 1
+        message = f"a product of {half + 1} by 2 coefficient terms exceeds {MAX_PRODUCT_PAIRS}"
+        with pytest.raises(InputError, match=message):
+            wider * binomial
+        with pytest.raises(InputError, match=f"a product of 2 by {half + 1} coefficient"):
+            binomial * wider
+
 
 @given(small_elements(), small_elements(), small_elements())
 @settings(max_examples=40, deadline=None)

@@ -221,6 +221,14 @@ def test_exponents_anywhere_match_dense_reference_at_smooth_levels(level, data):
     assert_reduces_like_reference(data.draw(spread_sums([level])))
 
 
+@pytest.mark.parametrize("level", [1155, 4620])
+def test_sum_near_the_level_matches_dense_reference_at_smooth_levels(level):
+    # drawn sums reach the exponents next to L only in some runs; this one
+    # checks the side read as y**-k on every run
+    assert_reduces_like_reference(
+        PhaseCoefficient([((F(level - 1, level), 0), 2), ((F(1, level), 0), 5)]))
+
+
 def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
     # x**n - 1 = prod over d | n of Phi_d determines every Phi_n
     for n in [*range(1, 61), 105, 128, 210, 243, 315, 420, 1155]:

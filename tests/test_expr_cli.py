@@ -167,6 +167,7 @@ def state_files(tmp_path):
         },
         "n_not_int": {"kind": "block", "n": "x", "base": {"kind": "trace"}},
         "n_missing": {"kind": "block", "base": {"kind": "trace"}},
+        "n_negative": {"kind": "block", "n": -1, "base": {"kind": "trace"}},
     }
     for name, obj in specs.items():
         p = tmp_path / f"{name}.json"
@@ -601,6 +602,29 @@ def test_each_command_loads_only_its_modules(state_files):
     assert [tuple(step) for step in json.loads(done.stdout)] == COMMAND_MODULES
 
 
+def test_refused_oracle_trace_loads_no_numpy():
+    # each word is refused before the matrix model is built, so numpy never loads
+    child = (
+        "import contextlib, io, json, sys\n"
+        "import nctorus.cli\n"
+        "runs = []\n"
+        "for word in ('u[100000]', 'u[0]', 'u[1]^300'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = nctorus.cli.main(['oracle', 'trace', '--alpha', '1/256',\n"
+        "                                 '--gens', '1000000', word])\n"
+        "    runs.append([code, out.getvalue(), 'numpy' in sys.modules])\n"
+        "print(json.dumps(runs))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nctorus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", child],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[2, "", False]] * 3
+
+
 # short text over the expression alphabet: generators, punctuation, the
 # phase name e, a stray letter, digits and spaces
 EXPRESSION_TEXT = st.text(alphabet="u[]^()*+-/ei0123456789 ", max_size=16)
@@ -727,6 +751,71 @@ def test_oracle_psd_order_is_bounded(capsys, state_files):
     code, out, err = run_cli(capsys, argv + [str(MAX_MOMENT_ORDER + 1)])
     assert (code, out) == (2, "")
     assert f"order must lie in 1..{MAX_MOMENT_ORDER}" in err
+
+
+def test_coefficient_term_pairs_are_bounded(capsys):
+    # each binomial doubles the terms of one coefficient: the 15th would
+    # multiply 2**14 terms by 2
+    from nctorus.algebra import MAX_PRODUCT_PAIRS
+
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    product = "*".join(f"(1+e(1/{p}))" for p in primes)
+    code, out, err = run_cli(capsys, ["normal-form", "--alpha", "1/2", product])
+    assert (code, out) == (2, "")
+    assert f"a product of 16384 by 2 coefficient terms exceeds {MAX_PRODUCT_PAIRS}" in err
+
+
+def test_oracle_psd_gram_family_is_bounded(capsys, state_files, monkeypatch):
+    from nctorus import oracle
+    from nctorus.oracle import MAX_MOMENT_ORDER
+
+    argv = ["oracle", "psd", "--alpha", "1/2", "--state", state_files["trace"], "--words"]
+    largest = MAX_MOMENT_ORDER + 1
+    code, out, _ = run_cli(capsys, argv + ["u[0]"] * largest)
+    assert (code, out) == (0, f"gram matrix ({largest} words): positive semidefinite\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram entry was evaluated")
+
+    monkeypatch.setattr(oracle, "evaluate", refuse)
+    code, out, err = run_cli(capsys, argv + ["u[0]"] * (largest + 1))
+    assert (code, out) == (2, "")
+    assert f"a Gram family of {largest + 1} elements exceeds the limit {largest}" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("row", [[2, True, 0], [2, 0, False]], ids=["re", "im"])
+def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"kind": "product", "moments": [row]}))
+    code, out, err = run_cli(capsys, ["eval", "--alpha", "1/2", "--mode", mode,
+                                      "--state", str(path), "u[0]^2"])
+    assert (code, out) == (2, "")
+    assert "booleans are not rationals" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cesaro", "--alpha", "1/2", "--mode", "float", "--state", "@trace", "--n", "1", "u[0]"],
+     "the cesaro command runs in exact mode"),
+    (["cesaro", "--alpha", "1/2", "--state", "@n_negative", "--n", "1", "u[0]"],
+     "half width must be >= 0"),
+    (["cesaro", "--alpha", "1/2", "--state", "@trace", "--n", "-1", "u[0]"],
+     "half width must be >= 0"),
+    # phi(adj(e(1/3)*u[0]^2)) = e(-1/3) * c_-2 is not a Gaussian rational
+    (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--words", "e(1/3)*u[0]^2", "1"],
+     "Gram entries leave the Gaussian rationals"),
+])
+def test_refusal_exits_2_before_any_output(capsys, state_files, argv, message):
+    argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_irrational_value_prints_symbolic_float(capsys, state_files):
+    code, out, _ = run_cli(capsys, ["eval", "--alpha", "irrational", "--state",
+                                    state_files["trace"], "E(2)"])
+    assert (code, out) == (0, "exact: E(2)\nfloat: symbolic (irrational beta)\n")
 
 
 JSON_VALUES = st.one_of(

@@ -243,7 +243,7 @@ class TestMatrixRep:
     @pytest.mark.parametrize("gens", [1, 2, 3, 4])
     def test_constructs_and_verifies(self, den, gens):
         rep = MatrixRep(canonicalize(1, den), gens)
-        rep.verify(1e-12)
+        rep.verify()
 
     @pytest.mark.parametrize("den,gens", [(2, 2), (3, 2), (2, 3), (5, 2)])
     def test_dense_relations(self, den, gens):

@@ -435,8 +435,18 @@ class TestJson:
         assert not state.moments.exact
         assert state.moments.moment(1) == 0.5 + 0.25j
 
+    def test_float_moments_do_not_serialize(self):
+        state = state_from_json({"kind": "product", "moments": [[2, 0.5, 0]]}, mode="float")
+        with pytest.raises(InputError, match="only exact moments serialize"):
+            state.to_json()
+
 
 class TestFloatPath:
+    def test_float_moments_refuse_exact_evaluation(self):
+        state = ProductState(MomentSequence({2: 0.5, -2: 0.5}, mode="float"))
+        with pytest.raises(InputError, match="float moments need float mode"):
+            evaluate(state, TorusAlgebra(BETA_HALF).u(0, 2))
+
     def test_matches_exact(self):
         a = TorusAlgebra(BETA_HALF)
         state = ProductState(soft_moments())
