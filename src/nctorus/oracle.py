@@ -28,6 +28,7 @@ from .states import (
     MomentSequence,
     StateSpec,
     evaluate,
+    evaluate_word,
     scalar_field,
 )
 
@@ -234,7 +235,8 @@ def brute_cesaro_word(state: CesaroState, word: Word, algebra: TorusAlgebra, *,
     inner = BlockProductState(n, state.base)
     acc = field.zero
     for k in range(-n, n + 1):
-        acc = acc + field.word_value(inner, word_translate(word, k), algebra)
+        acc = acc + evaluate_word(inner, word_translate(word, k), algebra,
+                                  mode=mode, beta_value=beta_value)
     return field.mean(acc, 2 * n + 1)
 
 

@@ -112,8 +112,7 @@ class ExactField:
     A field supplies zero and one; moment_one, moment (which coerces a
     moment), exceeds_one and lift for circle moments and their products;
     coefficient for phases and element coefficients; is_zero, mean and
-    equal; word_value, one top-level evaluation, which goes through the
-    module-level evaluate_word so that a wrapper on that name sees it.
+    equal.
     """
 
     zero, one, moment_one = PC_ZERO, PC_ONE, QQI_ONE
@@ -121,10 +120,6 @@ class ExactField:
     moment = staticmethod(QQi.of)
     coefficient = staticmethod(lambda c: c)
     equal = staticmethod(operator.eq)
-
-    @staticmethod
-    def word_value(state, word, algebra):
-        return evaluate_word(state, word, algebra)
 
     @staticmethod
     def is_zero(v) -> bool:
@@ -149,9 +144,6 @@ class FloatField:
     moment = lift = staticmethod(complex)
     is_zero = staticmethod(operator.not_)
     mean = staticmethod(operator.truediv)
-
-    def word_value(self, state, word, algebra):
-        return state.value(word, Values(algebra, self))
 
     def coefficient(self, c) -> complex:
         return c.to_complex(self.beta_value)
@@ -429,7 +421,11 @@ def validate_state(state: StateSpec, beta: DeformationParameter,
 
 def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra, *,
                   mode: str = "exact", beta_value=None):
-    """Value of the state on one normal-form word (a complex in float mode)."""
+    """Value of the state on one normal-form word (a complex in float mode).
+
+    evaluate, the checkers and the Cesaro oracle call this module-level name
+    for each top-level word, so that a wrapper on it sees every evaluation.
+    """
     return state.value(word, Values(algebra, scalar_field(mode, beta_value)))
 
 
@@ -443,7 +439,7 @@ def evaluate(state: StateSpec, x: Element, *, mode: str = "exact", beta_value=No
     validate_state(state, x.algebra.beta, mode=mode)
     total = field.zero
     for word, coeff in x.terms():
-        v = field.word_value(state, word, x.algebra)
+        v = evaluate_word(state, word, x.algebra, mode=mode, beta_value=beta_value)
         if not field.is_zero(v):
             total = total + field.coefficient(coeff) * v
     return total

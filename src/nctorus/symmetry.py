@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import states
 from .algebra import TorusAlgebra, Word, normal_form, split_at, word_degree
 from .deformation import DeformationParameter, InputError, isotropy
 from .expr import format_word
@@ -134,27 +135,14 @@ def random_increasing_map(lo: int, hi: int, rng: random.Random) -> TableMap:
     return TableMap(lo, tuple(values))
 
 
-def spreading_map_grammar(max_pivot: int = 2, max_compose: int = 2) -> list[IncreasingMap]:
-    """Identity plus all compositions of <= max_compose generator maps.
+def spreading_map_grammar() -> list[IncreasingMap]:
+    """Identity plus all compositions of <= 2 generator maps: 57 maps.
 
-    The generators are the partial shifts with |pivot| <= max_pivot together
-    with the shift and its inverse.
+    The generators are the partial shifts with |pivot| <= 2 together with
+    the shift and its inverse.
     """
-    gens: list[IncreasingMap] = [
-        PartialShift(l) for l in range(-max_pivot, max_pivot + 1)
-    ]
-    gens += [Shift(1), Shift(-1)]
-    out: list[IncreasingMap] = [IDENTITY]
-    layer: list[tuple[IncreasingMap, ...]] = [()]
-    for _ in range(max_compose):
-        nxt = []
-        for prefix in layer:
-            for g in gens:
-                chain = prefix + (g,)
-                out.append(compose(*chain))
-                nxt.append(chain)
-        layer = nxt
-    return out
+    gens = [PartialShift(l) for l in range(-2, 3)] + [Shift(1), Shift(-1)]
+    return [IDENTITY, *gens, *(compose(g, h) for g in gens for h in gens)]
 
 
 def iter_normal_words(max_factors: int, max_index: int,
@@ -278,8 +266,6 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
     for name, value in fields.items():
         if value < 0:
             raise InputError(f"{name} must be >= 0, got {value}")
-    if fields.get("angle_samples") == 0:  # the random pass draws from the samples
-        raise InputError("angle_samples must be >= 1, got 0")
     if fields["trials"] > MAX_TRIALS:
         raise InputError(f"trials must be <= {MAX_TRIALS}, got {fields['trials']}")
     steps = fields["trials"] * fields["max_factors"] ** 2 if fields["max_exponent"] else 0
@@ -294,15 +280,20 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
         )
 
 
-# Per-check memos of state values, keyed by normal-form word, and of the
-# exhaustive pass's verdicts, keyed by normal form; past this many entries
-# each is computed afresh.  The CLI default budget meets about 4,800 distinct
-# normal forms among the words and their images, 1,181 among the words.
+# Entries each per-check table keeps; past this many, a table computes each
+# further value afresh on every lookup, so a check's memory stays bounded
+# however many actions or angles its family has.  The CLI default budget
+# meets about 4,800 distinct normal forms among the words and their images,
+# 1,181 among the words.
 MAX_CACHED_VALUES = 2**16
 
 
 class _ValueTable(dict):
-    """The values of a function, each computed on first lookup."""
+    """The values of a function, each computed on first lookup.
+
+    A value is kept only while the table holds fewer than MAX_CACHED_VALUES
+    entries; past that, each further lookup computes its value afresh.
+    """
 
     __slots__ = ("h",)
 
@@ -311,33 +302,37 @@ class _ValueTable(dict):
         self.h = h
 
     def __missing__(self, i):
-        v = self[i] = self.h(i)
+        v = self.h(i)
+        if len(self) < MAX_CACHED_VALUES:
+            self[i] = v
         return v
 
 
-def _check(name, state, beta, actions_note, action_count, actions, draw, act, label, *,
-           trials, seed, max_factors, max_index, max_exponent, exhaustive,
-           mode, beta_value, **limits) -> CheckReport:
+def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials, seed,
+           max_factors, max_index, max_exponent, exhaustive, mode,
+           beta_value) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
-    act(action) gives a move on normal-form words: move(word) is (angle,
-    mapped word), and alpha sends the word to e(angle) times the mapped
-    word.  Each word is normal-ordered once and the actions move its normal
-    form, which is sound because index maps increase strictly (no new
-    inversions) and gauge actions keep the degree.
+    actions is a sized sequence; act(action) gives a move on normal-form
+    words: move(word) is (angle, mapped word), and alpha sends the word to
+    e(angle) times the mapped word.  Each word is normal-ordered once and
+    the actions move its normal form, which is sound because index maps
+    increase strictly (no new inversions) and gauge actions keep the degree.
     Exhaustive pass: every factor word within the word budget against every
-    action of actions(), a list of action_count actions.  A word w is e(twist)
-    times its normal form nf, so the pass computes one verdict per normal form
-    (the first failing action, or none) and replays the words' order from
-    the verdicts.  In exact mode e(twist) is a unit, so phi(alpha(w)) =
-    phi(w) exactly when phi(alpha(nf)) = phi(nf) and the verdict is keyed by
-    nf alone; in float mode it is keyed by (twist, nf), so rounding sees the
-    same products as a case-by-case pass.  Randomized pass: trial t draws a
-    word and then draw(rng, word) from seed xor t.  Pairs that an action
-    leaves unchanged count as cases but are not evaluated again.
+    action.  A word w is e(twist) times its normal form nf, so the pass
+    computes one verdict per normal form (the index of the first failing
+    action, or None) and replays the words' order from the verdicts.  In
+    exact mode e(twist) is a unit, so phi(alpha(w)) = phi(w) exactly when
+    phi(alpha(nf)) = phi(nf) and the verdict is keyed by (0, nf); in float
+    mode it is keyed by (twist, nf), so rounding sees the same products as a
+    case-by-case pass.  Randomized pass: trial t draws a word and then
+    draw(rng, word) from seed xor t.  Pairs that an action leaves unchanged
+    count as cases but are not evaluated again.  Every memo, here and in
+    the moves, is a _ValueTable: state values by normal form, verdicts,
+    rotations by angle and moves by action index.
     """
-    _check_budget(action_count, exhaustive, trials=trials, max_factors=max_factors,
-                  max_index=max_index, max_exponent=max_exponent, **limits)
+    _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
+                  max_index=max_index, max_exponent=max_exponent)
     field = scalar_field(mode, beta_value)
     exact = field is EXACT
     validate_state(state, beta, mode=mode)
@@ -346,15 +341,13 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
         f"words: <={max_factors} factors, |index|<={max_index}, "
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
-    values = {}
+    values = _ValueTable(lambda word: states.evaluate_word(
+        state, word, algebra, mode=mode, beta_value=beta_value))
     rotations = _ValueTable(lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
+    moves = _ValueTable(lambda k: act(actions[k]))
 
     def word_value(twist, word):
-        v = values.get(word)
-        if v is None:
-            v = field.word_value(state, word, algebra)
-            if len(values) < MAX_CACHED_VALUES:
-                values[word] = v
+        v = values[word]
         if twist and not field.is_zero(v):
             v = v * field.coefficient(algebra.twist_phase(twist))
         return v
@@ -362,14 +355,15 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
     def image(twist, nf, base, move):
         angle, mapped = move(nf)
         after = base if mapped == nf else word_value(twist, mapped)
-        if angle:
+        if angle and not field.is_zero(after):
             after = after * rotations[angle]
         return after
 
-    def first_failure(twist, nf, moves):
+    def first_failure(key):
+        twist, nf = key
         base = word_value(twist, nf)
-        for k, (_, move) in enumerate(moves):
-            if not field.equal(image(twist, nf, base, move), base):
+        for k in range(len(actions)):
+            if not field.equal(image(twist, nf, base, moves[k]), base):
                 return k
         return None
 
@@ -380,22 +374,15 @@ def _check(name, state, beta, actions_note, action_count, actions, draw, act, la
 
     cases = 0
     if exhaustive:
-        moves = [(action, act(action)) for action in actions()]
-        verdicts = {}
+        verdicts = _ValueTable(first_failure)
         for factors, twist, nf in iter_normal_words(max_factors, max_index, max_exponent):
-            key = nf if exact else (twist, nf)
-            k = verdicts.get(key, -1)  # -1: not seen yet
-            if k == -1:
-                k = first_failure(0 if exact else twist, nf, moves)
-                if len(verdicts) < MAX_CACHED_VALUES:
-                    verdicts[key] = k
+            k = verdicts[0 if exact else twist, nf]
             if k is None:
-                cases += len(moves)
+                cases += len(actions)
                 continue
-            action, move = moves[k]
             base = word_value(twist, nf)
-            return failed(cases + k + 1, 0, factors, action, base,
-                          image(twist, nf, base, move))
+            return failed(cases + k + 1, 0, factors, actions[k], base,
+                          image(twist, nf, base, moves[k]))
     for t in range(trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)
@@ -414,25 +401,21 @@ def _index_map_move(h):
     return lambda word: (0, tuple((table[i], e) for i, e in word))
 
 
-def _gauge_move(z):
-    """The angle z times the word's degree, through a table per degree."""
-    angles = _ValueTable(lambda degree: (z * degree) % 1)
-    return lambda word: (angles[word_degree(word)], word)
+_SPREADING_MAPS = tuple(spreading_map_grammar())
 
 
 def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
                      trials: int = 1000, seed: int = 0, max_factors: int = 3,
                      max_index: int = 2, max_exponent: int = 2,
-                     max_pivot: int = 2, max_compose: int = 2,
                      exhaustive: bool = True, mode: str = "exact",
                      beta_value=None) -> CheckReport:
     """Compare phi(alpha_h(x)) with phi(x) over the declared budget.
 
-    Exhaustive part: every factor word within the word budget against every
-    composition of at most max_compose generator maps.  Randomized part:
-    trials pairs of a random word and a random increasing table over its
-    support window; trial i draws from seed xor i.  A table costs one entry
-    per index of the window, so a random pass whose words can span more than
+    Exhaustive part: every factor word within the word budget against each
+    of the 57 maps of spreading_map_grammar().  Randomized part: trials
+    pairs of a random word and a random increasing table over its support
+    window; trial i draws from seed xor i.  A table costs one entry per
+    index of the window, so a random pass whose words can span more than
     MAX_EXHAUSTIVE_CASES indices is refused.
     """
     if (trials >= 1 and max_factors >= 2 and max_exponent >= 1
@@ -449,14 +432,11 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
         return random_increasing_map(lo, hi, rng)
 
     return _check(
-        "spreadable", state, beta,
-        f"maps: <={max_compose} generators with |pivot|<={max_pivot}",
-        _series(2 * max_pivot + 3, max_compose),
-        lambda: spreading_map_grammar(max_pivot, max_compose), draw,
-        _index_map_move, lambda h: h.describe(),
+        "spreadable", state, beta, "maps: <=2 generators with |pivot|<=2",
+        _SPREADING_MAPS, draw, _index_map_move, lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
-        beta_value=beta_value, max_pivot=max_pivot, max_compose=max_compose,
+        beta_value=beta_value,
     )
 
 
@@ -468,9 +448,8 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
     """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
     shift = Shift(power)
     return _check(
-        "stationary", state, beta, f"shift power: {power}", 1,
-        lambda: [shift], lambda rng, factors: shift,
-        _index_map_move, lambda h: f"tau^{power}",
+        "stationary", state, beta, f"shift power: {power}", [shift],
+        lambda rng, factors: shift, _index_map_move, lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
         beta_value=beta_value,
@@ -480,29 +459,33 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
 def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
                           trials: int = 1000, seed: int = 0,
                           max_factors: int = 3, max_index: int = 2,
-                          max_exponent: int = 2, angle_samples: int = 8,
-                          exhaustive: bool = True, mode: str = "exact",
-                          beta_value=None) -> CheckReport:
+                          max_exponent: int = 2, exhaustive: bool = True,
+                          mode: str = "exact", beta_value=None) -> CheckReport:
     """Compare phi(gauge_z(x)) with phi(x) for annihilator angles z.
 
     Rational beta: all angles j/n of the finite annihilator.  Irrational
-    beta: the annihilator is the whole circle, so rational angles
-    j/angle_samples stand in for it.
+    beta: the annihilator is the whole circle, so the angles j/8 stand in
+    for it.  The actions are the numerators j in range(n) (or range(8)); a
+    word of degree d turns by the angle (j*d mod n)/n, taken from one table
+    shared by every j.
     """
     iso = isotropy(beta)
     if iso.generator is not None:
         count = iso.generator
         angle_note = f"all {count} annihilator angles"
     else:
-        count = angle_samples
+        count = 8
         angle_note = f"angles j/{count} sampling the whole circle"
+    angles = _ValueTable(lambda r: Fraction(r, count))
+
+    def act(j):
+        return lambda word: (angles[j * word_degree(word) % count], word)
+
     return _check(
-        "gauge-invariant", state, beta, angle_note, count,
-        lambda: [Fraction(j, count) for j in range(count)],
-        lambda rng, factors: Fraction(rng.randrange(count), count),
-        _gauge_move,
-        lambda z: f"gauge angle {z}",
+        "gauge-invariant", state, beta, angle_note, range(count),
+        lambda rng, factors: rng.randrange(count), act,
+        lambda j: f"gauge angle {Fraction(j, count)}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
-        beta_value=beta_value, angle_samples=angle_samples,
+        beta_value=beta_value,
     )

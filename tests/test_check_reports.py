@@ -5,6 +5,7 @@ failure, the witness word, the action's label and both values, in exact and
 float mode, for failures found by the exhaustive pass and by the random pass.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from nctorus import (
     BlockProductState,
     CesaroState,
-    InputError,
     IRRATIONAL,
     MixtureState,
     MomentSequence,
@@ -171,6 +171,11 @@ def lebesgue():
     return ProductState(MomentSequence.lebesgue())
 
 
+def quarter_product():
+    # a moment at 4 only: invariant under the 4 annihilator angles of beta = 3/8
+    return ProductState(MomentSequence({0: 1, 4: F(1, 2)}))
+
+
 PASSES = [
     (check_spreadable, soft_product, BETA_HALF, dict(trials=20)),
     (check_spreadable, soft_product, BETA_HALF, dict(trials=20, mode="float")),
@@ -179,6 +184,7 @@ PASSES = [
     (check_gauge_invariant, mixture_base, BETA_HALF, dict(trials=20)),
     (check_gauge_invariant, lebesgue, IRRATIONAL,
      dict(trials=20, mode="float", beta_value=0.3)),
+    (check_gauge_invariant, quarter_product, canonicalize(3, 8), dict(trials=20)),
 ]
 
 
@@ -193,6 +199,15 @@ def test_value_cache_cap_keeps_reports(monkeypatch, cap, checker, make_state, be
     assert checker(make_state(), beta, **WORDS, **options).lines() == expected
 
 
-def test_zero_angle_samples_rejected():
-    with pytest.raises(InputError, match="angle_samples must be >= 1"):
-        check_gauge_invariant(TRACE, IRRATIONAL, angle_samples=0, trials=3)
+def test_large_family_stays_in_bounded_memory(monkeypatch):
+    # 4099 gauge angles against 3 words: every per-check table stops at the cap
+    monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", 64)
+    tracemalloc.start()
+    try:
+        report = check_gauge_invariant(TRACE, canonicalize(1, 4099), max_factors=1,
+                                       max_index=0, max_exponent=1, trials=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.exhaustive_cases == 3 * 4099
+    assert peak < 2**20
