@@ -47,5 +47,5 @@ print(f"\nformula table == square-divisor sieve up to {limit}:",
 beta = canonicalize(5, 72)
 n0 = isotropy(beta).generator
 for k, l in [(n0, n0), (2 * n0, 3 * n0), (-n0, 5 * n0)]:
-    value = beta.value * (k + l) ** 2
+    value = Fraction(beta.numerator, beta.denominator) * (k + l) ** 2
     print(f"beta*({k}+{l})^2 = {value} (integer: {value.denominator == 1})")

@@ -100,8 +100,10 @@ class TorusAlgebra:
         """e^(2*pi*i*beta*exponent) as an exact scalar."""
         pc = self._twist_cache.get(exponent)
         if pc is None:
-            if self.beta.is_rational:
-                pc = PhaseCoefficient.unit_angle(self.beta.twist_angle(exponent))
+            beta = self.beta
+            if beta.is_rational:
+                pc = PhaseCoefficient.unit_angle(
+                    Fraction(beta.numerator * exponent, beta.denominator))
             else:
                 pc = PhaseCoefficient.symbolic_unit(exponent)
             self._twist_cache[exponent] = pc
@@ -361,16 +363,17 @@ def translate(x: Element, offset: int) -> Element:
     return Element(x.algebra, out, canonical=True)
 
 
-def gauge_orbit_numeric(x: Element, angle: float, beta_value=None) -> dict[Word, complex]:
+def gauge_orbit_numeric(x: Element, angle: float) -> dict[Word, complex]:
     """Floating gauge rotation for arbitrary angles.
 
     Returns the coefficient map with machine-precision phases; comparisons
-    against the exact path are good to 1e-9.
+    against the exact path are good to 1e-9.  A coefficient with a symbolic
+    twist power (irrational beta) has no machine value and raises InputError.
     """
     import cmath
     from math import pi
 
     out = {}
     for w, c in x._terms.items():
-        out[w] = c.to_complex(beta_value) * cmath.exp(2j * pi * angle * word_degree(w))
+        out[w] = c.to_complex() * cmath.exp(2j * pi * angle * word_degree(w))
     return out

@@ -201,12 +201,8 @@ def _cmd_cesaro(args) -> int:
     support = x.support_indices()
     radius = max((abs(i) for i in support), default=0)
     bound = Fraction(4 * radius, 2 * args.half_width + 1)
-    try:
-        gap_abs = abs(gap.to_complex())
-        gap_text = f"{gap_abs:.12g}"
-    except ValueError:
-        gap_text = f"symbolic: {gap}"
-    lines = [f"phi_{args.half_width}: {phi_n}", f"phi: {phi}", f"gap: {gap_text}",
+    lines = [f"phi_{args.half_width}: {phi_n}", f"phi: {phi}",
+             f"gap: {abs(gap.to_complex()):.12g}",
              f"bound 4s/(2n+1): {bound} = {float(bound):.12g}"]
     print("\n".join(lines))
     return 0

@@ -63,21 +63,6 @@ class DeformationParameter:
     def is_rational(self) -> bool:
         return self.numerator is not None
 
-    @property
-    def value(self) -> Fraction:
-        if not self.is_rational:
-            raise InputError("irrational beta has no rational value")
-        return Fraction(self.numerator, self.denominator)
-
-    def twist_angle(self, m: int) -> Fraction | None:
-        """Angle q in [0, 1) with e^(2*pi*i*beta*m) = e^(2*pi*i*q).
-
-        None for symbolic beta with m != 0: the phase does not fold.
-        """
-        if not self.is_rational:
-            return Fraction(0) if m == 0 else None
-        return Fraction(self.numerator * m, self.denominator) % 1
-
     def __str__(self) -> str:
         if not self.is_rational:
             return "irrational"
@@ -130,13 +115,6 @@ class IsotropySubgroup:
         if self.generator is None:
             return k == 0
         return k % self.generator == 0
-
-    def annihilator_angles(self) -> tuple[Fraction, ...]:
-        """The angles j/n of the finite annihilator (rational case only)."""
-        if self.generator is None:
-            raise InputError("the annihilator is the whole circle")
-        n = self.generator
-        return tuple(Fraction(j, n) for j in range(n))
 
     def __str__(self) -> str:
         if self.generator is None:

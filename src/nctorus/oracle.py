@@ -224,19 +224,18 @@ def brute_phase_to_qqi(pc: PhaseCoefficient) -> QQi | None:
 
 
 def brute_cesaro_word(state: CesaroState, word: Word, algebra: TorusAlgebra, *,
-                      mode: str = "exact", beta_value=None) -> PhaseCoefficient | complex:
+                      mode: str = "exact") -> PhaseCoefficient | complex:
     """phi_n(w) as the plain average of the block product over 2n+1 shifts.
 
     Evaluates the block product once per shift k in [-n, n], so the cost is
     linear in n; exists to check the run-weighted sum of evaluate_word.
     """
-    field = scalar_field(mode, beta_value)
+    field = scalar_field(mode)
     n = state.half_width
     inner = BlockProductState(n, state.base)
     acc = field.zero
     for k in range(-n, n + 1):
-        acc = acc + evaluate_word(inner, word_translate(word, k), algebra,
-                                  mode=mode, beta_value=beta_value)
+        acc = acc + evaluate_word(inner, word_translate(word, k), algebra, mode=mode)
     return field.mean(acc, 2 * n + 1)
 
 
@@ -559,8 +558,7 @@ def toeplitz_psd(moments: MomentSequence, order: int) -> PsdVerdict:
     return hermitian_psd_exact(rows) if moments.exact else hermitian_psd_float(rows)
 
 
-def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
-             beta_value=None) -> PsdVerdict:
+def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact") -> PsdVerdict:
     """Positivity of the Gram matrix [phi(x_i* x_j)] for the given family.
 
     The exact path needs every entry to be a Gaussian rational; otherwise
@@ -571,10 +569,10 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact",
     if len(elements) > MAX_MOMENT_ORDER + 1:
         raise InputError(f"a Gram family of {len(elements)} elements exceeds the "
                          f"limit {MAX_MOMENT_ORDER + 1}")
-    exact = scalar_field(mode, beta_value) is EXACT
+    exact = scalar_field(mode) is EXACT
 
     def entry(x_star: Element, y: Element):
-        value = evaluate(state, x_star * y, mode=mode, beta_value=beta_value)
+        value = evaluate(state, x_star * y, mode=mode)
         if exact and (value := value.to_qqi()) is None:
             raise InputError(
                 "Gram entries leave the Gaussian rationals; run the check in float mode"

@@ -541,18 +541,13 @@ class PhaseCoefficient:
             return None
         return z.re
 
-    def to_complex(self, beta_value=None) -> complex:
-        """Numeric value; symbolic twist powers need a numeric beta."""
+    def to_complex(self) -> complex:
+        """Numeric value; a symbolic twist power e(m*beta), m != 0, has none."""
         total = 0j
         for (q, m), r in self._terms.items():
-            ang = float(q)
             if m:
-                if beta_value is None:
-                    raise InputError(
-                        "symbolic twist power needs a numeric beta value"
-                    )
-                ang += float(beta_value) * m
-            total += float(r) * cmath.exp(2j * pi * ang)
+                raise InputError("symbolic twist power needs a numeric beta value")
+            total += float(r) * cmath.exp(2j * pi * float(q))
         return total
 
     def __str__(self) -> str:

@@ -4,14 +4,15 @@ States are specified structurally: the canonical trace, a product over sites
 of one circle-state given by its moments, a product over blocks of a base
 state, a Cesaro average of that block product over shifts, or a finite
 convex mixture.  Every state kind has one interpreter, its value method,
-run over a scalar field: EXACT, whose values are PhaseCoefficients, or a
-FloatField, whose values are machine complexes compared within
-FLOAT_TOLERANCE (for arbitrary complex moments, for negative tests with
-inadmissible moments and for a numeric beta).  Every entry point takes
-mode="exact" or "float" (and beta_value), which becomes a field in one
-place, scalar_field.  Moments take their arithmetic from a field too.  One
-evaluation shares one Values table down the state tree, and blocks start at
-index 0, so a state meets each contiguous run of the word's factors once.
+run over a scalar field: EXACT, whose values are PhaseCoefficients, or
+FLOAT, whose values are machine complexes compared within FLOAT_TOLERANCE
+(for arbitrary complex moments and for negative tests with inadmissible
+moments).  Every entry point takes mode="exact" or "float", which becomes a
+field in one place, scalar_field; the mode is the only numeric option, and
+irrational beta stays symbolic in both.  Moments take their arithmetic from
+a field too.  One evaluation shares one Values table down the state tree,
+and blocks start at index 0, so a state meets each contiguous run of the
+word's factors once.
 """
 
 from __future__ import annotations
@@ -132,21 +133,17 @@ class ExactField:
         return total * Fraction(1, count)
 
 
-@dataclass(frozen=True)
 class FloatField:
     """Machine complex scalars, equal within FLOAT_TOLERANCE.
 
-    Phases convert with to_complex(beta_value), which a symbolic twist needs.
+    Phases convert with to_complex, which refuses a symbolic twist power.
     """
 
-    beta_value: object = None
     zero, one, moment_one = 0j, 1 + 0j, 1 + 0j
     moment = lift = staticmethod(complex)
+    coefficient = staticmethod(PhaseCoefficient.to_complex)
     is_zero = staticmethod(operator.not_)
     mean = staticmethod(operator.truediv)
-
-    def coefficient(self, c) -> complex:
-        return c.to_complex(self.beta_value)
 
     @staticmethod
     def equal(a, b) -> bool:
@@ -155,15 +152,15 @@ class FloatField:
     exceeds_one = staticmethod(lambda v: abs(v) > 1 + FLOAT_TOLERANCE)
 
 
-EXACT = ExactField()
+EXACT, FLOAT = ExactField(), FloatField()
 
 
-def scalar_field(mode: str, beta_value=None):
-    """The field of a mode: EXACT for "exact", FloatField(beta_value) for "float"."""
+def scalar_field(mode: str):
+    """The field of a mode: EXACT for "exact", FLOAT for "float"."""
     if mode == "exact":
         return EXACT
     if mode == "float":
-        return FloatField(beta_value)
+        return FLOAT
     raise InputError(f"unknown mode {mode!r}; use 'exact' or 'float'")
 
 
@@ -420,36 +417,36 @@ def validate_state(state: StateSpec, beta: DeformationParameter,
 
 
 def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra, *,
-                  mode: str = "exact", beta_value=None):
+                  mode: str = "exact"):
     """Value of the state on one normal-form word (a complex in float mode).
 
     evaluate, the checkers and the Cesaro oracle call this module-level name
     for each top-level word, so that a wrapper on it sees every evaluation.
     """
-    return state.value(word, Values(algebra, scalar_field(mode, beta_value)))
+    return state.value(word, Values(algebra, scalar_field(mode)))
 
 
-def evaluate(state: StateSpec, x: Element, *, mode: str = "exact", beta_value=None):
+def evaluate(state: StateSpec, x: Element, *, mode: str = "exact"):
     """Value of the state on an element (a complex in float mode).
 
     Terms are visited in sorted word order, so the (exact) result is
     reproducible independently of dict history.
     """
-    field = scalar_field(mode, beta_value)
+    field = scalar_field(mode)
     validate_state(state, x.algebra.beta, mode=mode)
     total = field.zero
     for word, coeff in x.terms():
-        v = evaluate_word(state, word, x.algebra, mode=mode, beta_value=beta_value)
+        v = evaluate_word(state, word, x.algebra, mode=mode)
         if not field.is_zero(v):
             total = total + field.coefficient(coeff) * v
     return total
 
 
 def clustering_gap(state: StateSpec, x: Element, y: Element, distance: int, *,
-                   mode: str = "exact", beta_value=None):
+                   mode: str = "exact"):
     """phi(x * tau^distance(y)) - phi(x) * phi(y), in the given mode."""
     def value(z):
-        return evaluate(state, z, mode=mode, beta_value=beta_value)
+        return evaluate(state, z, mode=mode)
 
     return value(x * translate(y, distance)) - value(x) * value(y)
 

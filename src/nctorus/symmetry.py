@@ -309,8 +309,7 @@ class _ValueTable(dict):
 
 
 def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials, seed,
-           max_factors, max_index, max_exponent, exhaustive, mode,
-           beta_value) -> CheckReport:
+           max_factors, max_index, max_exponent, exhaustive, mode) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
     actions is a sized sequence; act(action) gives a move on normal-form
@@ -333,7 +332,7 @@ def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
-    field = scalar_field(mode, beta_value)
+    field = scalar_field(mode)
     exact = field is EXACT
     validate_state(state, beta, mode=mode)
     algebra = TorusAlgebra(beta)
@@ -341,8 +340,7 @@ def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials
         f"words: <={max_factors} factors, |index|<={max_index}, "
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
-    values = _ValueTable(lambda word: states.evaluate_word(
-        state, word, algebra, mode=mode, beta_value=beta_value))
+    values = _ValueTable(lambda word: states.evaluate_word(state, word, algebra, mode=mode))
     rotations = _ValueTable(lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
     moves = _ValueTable(lambda k: act(actions[k]))
 
@@ -407,8 +405,7 @@ _SPREADING_MAPS = tuple(spreading_map_grammar())
 def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
                      trials: int = 1000, seed: int = 0, max_factors: int = 3,
                      max_index: int = 2, max_exponent: int = 2,
-                     exhaustive: bool = True, mode: str = "exact",
-                     beta_value=None) -> CheckReport:
+                     exhaustive: bool = True, mode: str = "exact") -> CheckReport:
     """Compare phi(alpha_h(x)) with phi(x) over the declared budget.
 
     Exhaustive part: every factor word within the word budget against each
@@ -436,7 +433,6 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
         _SPREADING_MAPS, draw, _index_map_move, lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
-        beta_value=beta_value,
     )
 
 
@@ -444,7 +440,7 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
                      power: int = 1, trials: int = 1000, seed: int = 0,
                      max_factors: int = 3, max_index: int = 2,
                      max_exponent: int = 2, exhaustive: bool = True,
-                     mode: str = "exact", beta_value=None) -> CheckReport:
+                     mode: str = "exact") -> CheckReport:
     """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
     shift = Shift(power)
     return _check(
@@ -452,7 +448,6 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
         lambda rng, factors: shift, _index_map_move, lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
-        beta_value=beta_value,
     )
 
 
@@ -460,7 +455,7 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
                           trials: int = 1000, seed: int = 0,
                           max_factors: int = 3, max_index: int = 2,
                           max_exponent: int = 2, exhaustive: bool = True,
-                          mode: str = "exact", beta_value=None) -> CheckReport:
+                          mode: str = "exact") -> CheckReport:
     """Compare phi(gauge_z(x)) with phi(x) for annihilator angles z.
 
     Rational beta: all angles j/n of the finite annihilator.  Irrational
@@ -487,5 +482,4 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
         lambda j: f"gauge angle {Fraction(j, count)}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
-        beta_value=beta_value,
     )

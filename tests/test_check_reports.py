@@ -131,7 +131,7 @@ GOLDEN = [
     ),
     (
         check_gauge_invariant, off_isotropy, IRRATIONAL,
-        dict(trials=50, seed=7, exhaustive=False, mode="float", beta_value=0.3),
+        dict(trials=50, seed=7, exhaustive=False, mode="float"),
         fail_lines("gauge-invariant", "product(c_-1=(0.5-0j), c_1=(0.5+0j))",
                    "angles j/8 sampling the whole circle; trials: 50", 0, 8,
                    "u[-1]", "gauge angle 1/2",
@@ -183,7 +183,7 @@ PASSES = [
     (check_stationary, cesaro_mixture, BETA_HALF, dict(trials=20, mode="float")),
     (check_gauge_invariant, mixture_base, BETA_HALF, dict(trials=20)),
     (check_gauge_invariant, lebesgue, IRRATIONAL,
-     dict(trials=20, mode="float", beta_value=0.3)),
+     dict(trials=20, mode="float")),
     (check_gauge_invariant, quarter_product, canonicalize(3, 8), dict(trials=20)),
 ]
 

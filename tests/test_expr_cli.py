@@ -158,6 +158,7 @@ def state_files(tmp_path):
             },
         },
         "inadmissible": {"kind": "product", "moments": [[1, 1, 0], [-1, 1, 0]]},
+        "null_moment": {"kind": "product", "moments": [[2, None, 0]]},
         "mixture": {
             "kind": "mixture",
             "parts": [
@@ -804,6 +805,10 @@ def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
     # phi(adj(e(1/3)*u[0]^2)) = e(-1/3) * c_-2 is not a Gaussian rational
     (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--words", "e(1/3)*u[0]^2", "1"],
      "Gram entries leave the Gaussian rationals"),
+    (["oracle", "trace", "--alpha", "1/5", "--gens", "0", "u[1]"],
+     "need at least one generator"),
+    (["eval", "--alpha", "1/2", "--mode", "float", "--state", "@null_moment", "u[0]^2"],
+     "bad numeric value None"),
 ])
 def test_refusal_exits_2_before_any_output(capsys, state_files, argv, message):
     argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]
@@ -816,6 +821,28 @@ def test_irrational_value_prints_symbolic_float(capsys, state_files):
     code, out, _ = run_cli(capsys, ["eval", "--alpha", "irrational", "--state",
                                     state_files["trace"], "E(2)"])
     assert (code, out) == (0, "exact: E(2)\nfloat: symbolic (irrational beta)\n")
+
+
+def test_irrational_cesaro_gap_is_zero(capsys, tmp_path):
+    # at irrational beta every exact state equals the trace, so phi_n - phi
+    # cancels term by term, symbolic twist included
+    path = tmp_path / "lebesgue.json"
+    path.write_text(json.dumps({"kind": "product", "moments": []}))
+    code, out, err = run_cli(capsys, ["cesaro", "--alpha", "irrational", "--state", str(path),
+                                      "--n", "2", "u[0]*u[1]*u[0]^-1*u[1]^-1+u[0]"])
+    assert (code, err) == (0, "")
+    assert out == "phi_2: E(1)\nphi: E(1)\ngap: 0\nbound 4s/(2n+1): 0 = 0\n"
+
+
+def test_oracle_psd_moment_witness_exits_1(capsys, tmp_path):
+    # {2: 1, 4: -1} at beta = 1/2: the density 1 + 2cos 2t - 2cos 4t is -3 at t = pi/2
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"kind": "product", "moments": [[2, "1", 0], [4, "-1", 0]]}))
+    code, out, err = run_cli(capsys, ["oracle", "psd", "--alpha", "1/2", "--order", "6",
+                                      "--state", str(path)])
+    assert (code, err) == (1, "")
+    assert out == ("moment matrix (order 6): not positive semidefinite; form value -8\n"
+                   "witness: [-3, 0, 1, 0, -2, 0, 0]\n")
 
 
 JSON_VALUES = st.one_of(

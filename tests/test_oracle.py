@@ -170,23 +170,24 @@ class TestBruteCesaro:
 
     def test_nested_cesaro_evaluations_grow_slowly_in_depth(self, monkeypatch):
         # 15 levels, the deepest chain a state file allows; each level meets
-        # at most three distinct translated blocks of the three-index word
-        import nctorus.states as states
-
+        # at most three distinct translated blocks of the three-index word.
+        # The count stops the evaluation as soon as it passes the bound
         calls = []
-        inner = states.evaluate_word
+        value = CesaroState.value
 
-        def counting(state, word, algebra):
-            calls.append(type(state).__name__)
-            return inner(state, word, algebra)
+        def counting(self, word, values):
+            calls.append(word)
+            if len(calls) > 700:
+                raise AssertionError("more than 700 Cesaro evaluations")
+            return value(self, word, values)
 
-        monkeypatch.setattr(states, "evaluate_word", counting)
+        monkeypatch.setattr(CesaroState, "value", counting)
         state = ProductState(MomentSequence({2: F(1, 2)}))
         for _ in range(15):
             state = CesaroState(1000, state)
-        value = counting(state, ((0, 2), (1, 2), (2, 2)), TorusAlgebra(canonicalize(1, 2)))
-        assert value == F(1, 8)
-        assert calls.count("CesaroState") <= 700
+        word = ((0, 2), (1, 2), (2, 2))
+        assert evaluate_word(state, word, TorusAlgebra(canonicalize(1, 2))) == F(1, 8)
+        assert calls
 
     def test_nested_cesaro_work_is_linear_in_depth(self, monkeypatch):
         # one evaluation shares its values down the tree: each level meets

@@ -127,8 +127,6 @@ class TestPhaseCoefficient:
         z = PhaseCoefficient.symbolic_unit(1)
         with pytest.raises(ValueError):
             z.to_complex()
-        value = z.to_complex(beta_value=0.25)
-        assert abs(value - 1j) < 1e-12
 
     def test_reduce_is_canonical_on_equal_values(self):
         # one half via thirds: (-1/2)(e(1/3) + e(2/3)) = 1/2

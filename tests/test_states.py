@@ -22,11 +22,12 @@ from nctorus import (
     canonicalize,
     clustering_gap,
     evaluate,
+    evaluate_word,
     state_from_json,
     translate,
     validate_state,
 )
-from nctorus.states import cesaro_runs
+from nctorus.states import _BlockFamily, cesaro_runs
 
 F = Fraction
 
@@ -268,21 +269,21 @@ class TestCesaro:
             assert len(runs) <= len(word) + 1
 
     def test_block_evaluations_independent_of_n(self, monkeypatch):
-        import nctorus.states as states
-
-        calls = []
-        inner = states.evaluate_word
-
-        def counting(state, word, algebra):
-            calls.append(type(state).__name__)
-            return inner(state, word, algebra)
-
-        monkeypatch.setattr(states, "evaluate_word", counting)
-        a = TorusAlgebra(BETA_HALF)
+        # one block product per run of equal splits, not one per shift; the
+        # count stops the evaluation as soon as it passes the bound
         word = ((-3, 2), (0, 2), (4, -2))
-        counting(CesaroState(10**6, mixture_base()), word, a)
-        assert calls.count("CesaroState") == 1
-        assert calls.count("BlockProductState") <= len(word) + 1
+        calls = []
+        inner = _BlockFamily.block_product
+
+        def counting(self, shifted, values):
+            calls.append(shifted)
+            if len(calls) > len(word) + 1:
+                raise AssertionError(f"{len(calls)} block products for {len(word)} factors")
+            return inner(self, shifted, values)
+
+        monkeypatch.setattr(_BlockFamily, "block_product", counting)
+        evaluate_word(CesaroState(10**6, mixture_base()), word, TorusAlgebra(BETA_HALF))
+        assert calls
 
     def test_large_half_width_exact(self):
         # one split joins u0 and u1 (value 2/9), the shift putting u1 at the
@@ -474,10 +475,11 @@ class TestFloatPath:
     ])
     def test_matches_exact_across_kinds(self, beta, state):
         # a word times a reordering of its inverse is a twisted scalar,
-        # symbolic e(m*beta) at irrational beta
-        beta_value = 0.6180339887498949
+        # symbolic e(m*beta) at irrational beta, where neither mode gives it
+        # a machine value
         a = TorusAlgebra(beta)
         rng = random.Random(31)
+        refused = 0
         for _ in range(40):
             factors = [
                 (rng.randint(-2, 2), rng.choice((-4, -2, -1, 1, 2, 4)))
@@ -488,9 +490,21 @@ class TestFloatPath:
             x = a.word(factors, QQi(F(1, 3), F(1, 7))) * (
                 a.word(inverse) + a.word(inverse[:2])
             )
-            exact = evaluate(state, x).to_complex(beta_value)
-            numeric = evaluate(state, x, mode="float", beta_value=beta_value)
-            assert abs(exact - numeric) < 1e-9
+            try:
+                exact = evaluate(state, x).to_complex()
+            except InputError:
+                refused += 1
+                with pytest.raises(InputError, match="symbolic twist power"):
+                    evaluate(state, x, mode="float")
+                continue
+            assert abs(exact - evaluate(state, x, mode="float")) < 1e-9
+        assert (0 < refused < 40) if beta is IRRATIONAL else refused == 0
+
+    def test_symbolic_twist_has_no_float_value(self):
+        a = TorusAlgebra(IRRATIONAL)
+        x = a.one() + a.word([(1, 1), (0, 1), (1, -1), (0, -1)])
+        with pytest.raises(InputError, match="symbolic twist power needs a numeric beta value"):
+            evaluate(TRACE, x, mode="float")
 
     def test_inadmissible_scaling(self):
         # a moment off the isotropy subgroup makes the functional see the
