@@ -17,9 +17,8 @@ from importlib import import_module
 # public name -> the submodule that defines it
 _EXPORTS = {
     "algebra": (
-        "Element", "TorusAlgebra", "Word", "apply_coordinate_gauge", "apply_gauge",
-        "apply_index_map", "degree_zero_part", "divisible_exponent_part",
-        "gauge_orbit_numeric", "normal_form", "translate", "word_degree", "word_translate",
+        "Element", "TorusAlgebra", "Word", "apply_gauge", "apply_index_map",
+        "normal_form", "translate", "word_degree", "word_translate",
     ),
     "deformation": (
         "IRRATIONAL", "DeformationParameter", "InputError", "IsotropySubgroup",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .deformation import DeformationParameter, InputError, isotropy
 from .scalars import PC_ONE, PC_ZERO, PhaseCoefficient
@@ -233,30 +233,12 @@ class Element:
         _check_pairs(len(coeff._terms), self._coefficient_terms())
         return Element(self.algebra, {w: coeff * c for w, c in self._terms.items()})
 
-    def __truediv__(self, other) -> Element:
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        raise TypeError("can only divide by a nonzero rational")
-
     def adjoint(self) -> Element:
         """Conjugate-linear involution: reverses words and negates exponents."""
         out: dict[Word, PhaseCoefficient] = {}
         for w, c in self._terms.items():
             self.algebra._accumulate(out, c.conjugate(), ((i, -e) for i, e in reversed(w)))
         return Element(self.algebra, out, canonical=True)
-
-    def degree(self) -> int | None:
-        """Common total exponent of all words; None if mixed, 0 for zero."""
-        deg: int | None = None
-        for w in self._terms:
-            d = word_degree(w)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                return None
-        return 0 if deg is None else deg
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -281,61 +263,18 @@ class Element:
         return f"<Element {self}>"
 
 
-def degree_zero_part(x: Element) -> Element:
-    """Average over the global gauge circle: keeps the degree-zero terms."""
-    kept = {w: c for w, c in x._terms.items() if word_degree(w) == 0}
-    return Element(x.algebra, kept, canonical=True)
-
-
-def divisible_exponent_part(x: Element, order: int | None) -> Element:
-    """Average over per-coordinate rotations by the annihilator.
-
-    Keeps the words whose every exponent is a multiple of order.  order None
-    stands for the whole-circle annihilator and keeps only the unit word.
-    """
-    if order is not None and order < 1:
-        raise InputError("order must be a positive integer")
-    kept: dict[Word, PhaseCoefficient] = {}
-    for w, c in x._terms.items():
-        if order is None:
-            if w == EMPTY_WORD:
-                kept[w] = c
-        elif all(e % order == 0 for _, e in w):
-            kept[w] = c
-    return Element(x.algebra, kept, canonical=True)
-
-
-def _exact_angle(angle) -> Fraction:
-    if isinstance(angle, float):
-        raise InputError(
-            "exact gauge needs a rational angle; floats go through "
-            "gauge_orbit_numeric"
-        )
-    return Fraction(angle)
-
-
-def _rotate(x: Element, angle_of: Callable[[Word], Fraction]) -> Element:
-    """Multiply each term by e^(2*pi*i*angle_of(word))."""
-    out: dict[Word, PhaseCoefficient] = {}
-    for w, c in x._terms.items():
-        q = angle_of(w) % 1
-        out[w] = c if not q else c * PhaseCoefficient.unit_angle(q)
-    return Element(x.algebra, out, canonical=True)
-
-
 def apply_gauge(x: Element, angle) -> Element:
     """Rotate every generator by e^(2*pi*i*angle), angle rational.
 
     A degree-m term picks up the phase e^(2*pi*i*m*angle).
     """
-    angle = _exact_angle(angle)
-    return _rotate(x, lambda w: angle * word_degree(w))
-
-
-def apply_coordinate_gauge(x: Element, angles: Mapping[int, Fraction]) -> Element:
-    """Rotate generator i by e^(2*pi*i*angles[i]); unlisted indices stay put."""
-    zero = Fraction(0)
-    return _rotate(x, lambda w: sum((_exact_angle(angles.get(i, zero)) * e for i, e in w), zero))
+    if isinstance(angle, float):
+        raise InputError("gauge rotation needs a rational angle")
+    out: dict[Word, PhaseCoefficient] = {}
+    for w, c in x._terms.items():
+        q = Fraction(angle) * word_degree(w) % 1
+        out[w] = c if not q else c * PhaseCoefficient.unit_angle(q)
+    return Element(x.algebra, out, canonical=True)
 
 
 def apply_index_map(x: Element, h: Callable[[int], int]) -> Element:
@@ -361,19 +300,3 @@ def translate(x: Element, offset: int) -> Element:
     """Shift every generator index by a fixed offset."""
     out = {word_translate(w, offset): c for w, c in x._terms.items()}
     return Element(x.algebra, out, canonical=True)
-
-
-def gauge_orbit_numeric(x: Element, angle: float) -> dict[Word, complex]:
-    """Floating gauge rotation for arbitrary angles.
-
-    Returns the coefficient map with machine-precision phases; comparisons
-    against the exact path are good to 1e-9.  A coefficient with a symbolic
-    twist power (irrational beta) has no machine value and raises InputError.
-    """
-    import cmath
-    from math import pi
-
-    out = {}
-    for w, c in x._terms.items():
-        out[w] = c.to_complex() * cmath.exp(2j * pi * angle * word_degree(w))
-    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .deformation import InputError, parse_beta
 
@@ -272,12 +273,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except (InputError, OSError, OverflowError) as exc:
-        # OverflowError: a value too large for a float, such as a huge literal
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # whatever filters the caller has set
+        try:
+            code, errors = args.func(args), []
+        except (InputError, OSError, OverflowError) as exc:
+            # OverflowError: a value too large for a float, such as a huge literal
+            code, errors = 2, [f"error: {exc}"]
+    # one line per distinct warning message, then the error
+    for line in [*dict.fromkeys(f"warning: {w.message}" for w in caught), *errors]:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,17 +12,14 @@ from nctorus import (
     PhaseCoefficient,
     QQi,
     TorusAlgebra,
-    apply_coordinate_gauge,
     apply_gauge,
     apply_index_map,
     brute_normal_form,
     canonicalize,
-    degree_zero_part,
-    divisible_exponent_part,
-    gauge_orbit_numeric,
     normal_form,
     parse,
     translate,
+    word_degree,
 )
 
 F = Fraction
@@ -154,24 +151,11 @@ class TestElement:
         assert x == a.word([(2, -1), (1, -1)])
         assert x.coefficient(((1, -1), (2, -1))) == a.twist_phase(-1)
 
-    def test_degree(self):
-        a = TorusAlgebra(BETA_QUARTER)
-        assert a.word([(0, 2), (5, -1)]).degree() == 1
-        assert (a.u(0) + a.u(1)).degree() == 1
-        assert (a.u(0) + a.u(0, 2)).degree() is None
-        assert a.zero().degree() == 0
-
     def test_unitarity(self):
         a = TorusAlgebra(BETA_QUARTER)
         for x in (a.u(2), a.u(0) * a.u(1), a.word([(0, 3), (2, -1)])):
             assert x * x.adjoint() == a.one()
             assert x.adjoint() * x == a.one()
-
-    def test_division(self):
-        a = TorusAlgebra(BETA_QUARTER)
-        assert a.u(0) / 2 == a.word([(0, 1)], F(1, 2))
-        with pytest.raises(ZeroDivisionError):
-            a.u(0) / 0
 
     def test_mixed_beta_rejected(self):
         a = TorusAlgebra(BETA_QUARTER)
@@ -217,58 +201,20 @@ def test_adjoint_involution(x):
 @given(small_elements(), small_elements())
 @settings(max_examples=40, deadline=None)
 def test_degree_additive_on_homogeneous(x, y):
-    dx, dy = x.degree(), y.degree()
-    prod = x * y
-    if dx is not None and dy is not None and not x.is_zero() and not y.is_zero():
-        if not prod.is_zero():
-            assert prod.degree() == dx + dy
+    dx, dy = ({word_degree(w) for w in z.words()} for z in (x, y))
+    if len(dx) == len(dy) == 1:
+        assert {word_degree(w) for w in (x * y).words()} <= {dx.pop() + dy.pop()}
 
 
 class TestStructureMaps:
-    def test_degree_zero_projection(self):
-        a = TorusAlgebra(BETA_QUARTER)
-        x = a.word([(1, 1), (2, -1)])
-        assert degree_zero_part(x) == x
-        assert degree_zero_part(a.u(1)).is_zero()
-
-    @given(small_elements())
-    @settings(max_examples=40, deadline=None)
-    def test_degree_zero_idempotent(self, x):
-        e = degree_zero_part(x)
-        assert degree_zero_part(e) == e
-        assert e.degree() == 0
-
-    def test_divisible_part(self):
-        a = TorusAlgebra(BETA_QUARTER)
-        assert divisible_exponent_part(a.u(1, 2), 2) == a.u(1, 2)
-        assert divisible_exponent_part(a.u(1), 2).is_zero()
-        assert divisible_exponent_part(a.word([(1, 2), (3, 1)]), 2).is_zero()
-        assert divisible_exponent_part(a.u(1, 2) + a.one(), None) == a.one()
-
-    @given(small_elements(), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_divisible_part_idempotent_and_ranged(self, x, order):
-        f = divisible_exponent_part(x, order)
-        assert divisible_exponent_part(f, order) == f
-        for word in f.words():
-            assert all(e % order == 0 for _, e in word)
-
     def test_gauge_examples(self):
         a = TorusAlgebra(BETA_QUARTER)
         assert apply_gauge(a.u(0), F(1, 2)) == -a.u(0)
         x = a.word([(1, 1), (2, -1)])
         assert apply_gauge(x, F(5, 7)) == x
         assert apply_gauge(a.u(0, 2), F(1, 4)) == -a.u(0, 2)
-
-    def test_coordinate_gauge_examples(self):
-        a = TorusAlgebra(BETA_QUARTER)
-        x = a.u(0)
-        assert apply_coordinate_gauge(x, {0: F(1, 3)}) == a.word(
-            [(0, 1)], PhaseCoefficient.unit_angle(F(1, 3))
-        )
-        y = a.word([(0, 1), (1, 1)])
-        assert apply_coordinate_gauge(y, {}) == y
-        assert apply_coordinate_gauge(y, {0: F(1, 2), 1: F(1, 2)}) == y
+        with pytest.raises(InputError, match="rational angle"):
+            apply_gauge(a.u(0), 0.5)
 
     def test_index_map_examples(self):
         a = TorusAlgebra(BETA_QUARTER)
@@ -296,14 +242,6 @@ class TestStructureMaps:
         lhs = apply_index_map(x * y, h)
         rhs = apply_index_map(x, h) * apply_index_map(y, h)
         assert lhs == rhs
-
-    def test_gauge_float_path_matches_exact(self):
-        a = TorusAlgebra(BETA_QUARTER)
-        x = a.word([(0, 2), (1, -1)], QQi(F(1, 3), F(1, 5))) + a.one()
-        exact = apply_gauge(x, F(1, 3))
-        numeric = gauge_orbit_numeric(x, 1 / 3)
-        for word, coeff in exact.terms():
-            assert abs(coeff.to_complex() - numeric[word]) < 1e-9
 
 
 class TestIrrationalMode:

@@ -159,6 +159,7 @@ def state_files(tmp_path):
         },
         "inadmissible": {"kind": "product", "moments": [[1, 1, 0], [-1, 1, 0]]},
         "null_moment": {"kind": "product", "moments": [[2, None, 0]]},
+        "empty_mixture": {"kind": "mixture", "parts": []},
         "mixture": {
             "kind": "mixture",
             "parts": [
@@ -181,6 +182,10 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+INADMISSIBLE_AT_HALF = ("moments supported outside the isotropy subgroup 2Z are "
+                        "inadmissible; the product functional is not a state")
 
 
 class TestCli:
@@ -383,15 +388,15 @@ class TestCli:
         assert "positive semidefinite" in out
 
     def test_oracle_psd_gram_witness(self, capsys, state_files):
-        with pytest.warns(UserWarning):
-            code, out, _ = run_cli(
-                capsys,
-                [
-                    "oracle", "psd", "--alpha", "1/2", "--mode", "float",
-                    "--state", state_files["inadmissible"],
-                    "--words", "1", "u[0]", "u[0]*u[1]",
-                ],
-            )
+        code, out, err = run_cli(
+            capsys,
+            [
+                "oracle", "psd", "--alpha", "1/2", "--mode", "float",
+                "--state", state_files["inadmissible"],
+                "--words", "1", "u[0]", "u[0]*u[1]",
+            ],
+        )
+        assert err == f"warning: {INADMISSIBLE_AT_HALF}\n"
         assert code == 1
         assert "not positive semidefinite" in out
         assert "witness:" in out
@@ -603,6 +608,20 @@ def test_each_command_loads_only_its_modules(state_files):
     assert [tuple(step) for step in json.loads(done.stdout)] == COMMAND_MODULES
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "W-error"])
+def test_float_warning_is_one_stderr_line(state_files, flags):
+    # neither a source line nor the caller's warning filters reach the output
+    src = os.path.dirname(os.path.dirname(nctorus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, *flags, "-m", "nctorus.cli", "eval", "--alpha",
+                           "1/2", "--mode", "float", "--state", state_files["inadmissible"],
+                           "u[0]*u[1]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "float: 1\n")
+    assert done.stderr == f"warning: {INADMISSIBLE_AT_HALF}\n"
+
+
 def test_refused_oracle_trace_loads_no_numpy():
     # each word is refused before the matrix model is built, so numpy never loads
     child = (
@@ -809,6 +828,10 @@ def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
      "need at least one generator"),
     (["eval", "--alpha", "1/2", "--mode", "float", "--state", "@null_moment", "u[0]^2"],
      "bad numeric value None"),
+    (["oracle", "psd", "--alpha", "1/2", "--state", "@trace"],
+     "the moment matrix check needs a product state"),
+    (["eval", "--alpha", "1/2", "--state", "@empty_mixture", "1"],
+     "a mixture needs at least one part"),
 ])
 def test_refusal_exits_2_before_any_output(capsys, state_files, argv, message):
     argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]
@@ -882,7 +905,6 @@ def state_descriptions(draw, depth=None, clean=None):
     ]}
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=state_descriptions(), mode=st.sampled_from(["exact", "float"]),
@@ -895,7 +917,6 @@ def test_state_file_eval_exit_code_contract(capsys, tmp_path, obj, mode, expr):
     assert code in (0, 1, 2)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=state_descriptions(), mode=st.sampled_from(["exact", "float"]),
@@ -964,7 +985,6 @@ def test_print_parse_round_trip(beta, data):
     assert format_element(y) == text
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
 @pytest.mark.parametrize("argv", [
     ["eval", "--alpha", "irrational", "--mode", "float", "--state", "@trace",
      "u[1]*u[0]*u[1]^-1*u[0]^-1"],
@@ -994,7 +1014,6 @@ STATE_FILE_COMMANDS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # float mode, inadmissible moments
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=state_descriptions(), command=st.sampled_from(STATE_FILE_COMMANDS),

@@ -9,9 +9,8 @@ from nctorus import states
 
 # submodule -> the public names it defines
 EXPORTS = {
-    "algebra": """Element TorusAlgebra Word apply_coordinate_gauge apply_gauge
-        apply_index_map degree_zero_part divisible_exponent_part gauge_orbit_numeric
-        normal_form translate word_degree word_translate""",
+    "algebra": """Element TorusAlgebra Word apply_gauge apply_index_map normal_form
+        translate word_degree word_translate""",
     "deformation": """IRRATIONAL DeformationParameter InputError IsotropySubgroup
         canonicalize factorize isotropy isotropy_generator_table parse_beta""",
     "expr": "ParseError format_complex format_element parse",
@@ -32,7 +31,7 @@ PUBLIC = sorted([*EXPORTS, *HOME])
 
 
 def test_public_names_are_frozen():
-    assert len(PUBLIC) == 78
+    assert len(PUBLIC) == 74
     assert sorted(nctorus.__all__) == PUBLIC
 
 

@@ -364,6 +364,13 @@ class TestToeplitz:
         assert not verdict.is_psd
         assert verdict.min_eigenvalue < -1e-6
 
+    def test_float_mode_psd(self):
+        # c_2 = 1/2 only: the even rows form the tridiagonal [1, 1/2] matrix of
+        # size 3, least eigenvalue 1 - cos(pi/4), and the odd rows one of size 2
+        verdict = toeplitz_psd(MomentSequence({2: 0.5}, mode="float"), 4)
+        assert verdict.is_psd
+        assert abs(verdict.min_eigenvalue - (1 - 2**-0.5)) < 1e-9
+
     def test_order_validation(self):
         with pytest.raises(InputError):
             toeplitz_psd(MomentSequence.lebesgue(), 0)

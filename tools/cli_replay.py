@@ -9,7 +9,7 @@ one JSON line to LOG: the argv, the bytes of every argument that names a
 file, stdout, stderr and the exit code.  replay reruns each call in a fresh
 temporary directory, against whichever nctorus is on the path, and lists
 the calls whose stdout, stderr or exit code differ; it exits 1 if any do.
-Python warnings are not compared: pytest captures them, so the log has none.
+main prints each warning as a stderr line, so warnings are compared too.
 Recording at one commit and replaying at another shows whether a change
 keeps the CLI's output byte-identical.  Children the tests start with
 `python -m nctorus.cli` are not recorded.
@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 
@@ -87,8 +86,7 @@ def replay_call(main, call: dict, workdir: str) -> list[str]:
             f.write(base64.b64decode(data))
         argv = [copy if a == path else a for a in argv]
         renames[copy] = path
-    with warnings.catch_warnings(record=True):  # pytest kept them off stderr too
-        stdout, stderr, code = _run(main, argv)
+    stdout, stderr, code = _run(main, argv)
     for copy, path in renames.items():
         stdout, stderr = stdout.replace(copy, path), stderr.replace(copy, path)
     got = {"stdout": stdout, "stderr": stderr, "code": code}
