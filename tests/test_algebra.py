@@ -206,6 +206,15 @@ def test_degree_additive_on_homogeneous(x, y):
         assert {word_degree(w) for w in (x * y).words()} <= {dx.pop() + dy.pop()}
 
 
+def test_word_degree_examples():
+    a = TorusAlgebra(BETA_QUARTER)
+    assert [word_degree(w) for w in a.word([(0, 2), (5, -1)]).words()] == [1]
+    assert [word_degree(w) for w in a.one().words()] == [0]
+    assert sorted(word_degree(w) for w in (a.u(0) + a.u(0, 2)).words()) == [1, 2]
+    # reordering u1*u0 into normal form keeps the total exponent
+    assert [word_degree(w) for w in (a.u(1) * a.u(0) * a.u(2, -3)).words()] == [-1]
+
+
 class TestStructureMaps:
     def test_gauge_examples(self):
         a = TorusAlgebra(BETA_QUARTER)
@@ -215,6 +224,14 @@ class TestStructureMaps:
         assert apply_gauge(a.u(0, 2), F(1, 4)) == -a.u(0, 2)
         with pytest.raises(InputError, match="rational angle"):
             apply_gauge(a.u(0), 0.5)
+
+    @given(small_elements(), small_elements(),
+           st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
+    @settings(max_examples=40, deadline=None)
+    def test_gauge_is_a_star_automorphism_action(self, x, y, s, t):
+        assert apply_gauge(x * y, s) == apply_gauge(x, s) * apply_gauge(y, s)
+        assert apply_gauge(x.adjoint(), s) == apply_gauge(x, s).adjoint()
+        assert apply_gauge(apply_gauge(x, s), t) == apply_gauge(x, s + t)
 
     def test_index_map_examples(self):
         a = TorusAlgebra(BETA_QUARTER)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -400,6 +401,24 @@ class TestCli:
         assert code == 1
         assert "not positive semidefinite" in out
         assert "witness:" in out
+
+    def test_repeated_warning_prints_once(self, capsys, tmp_path):
+        # both parts warn with the same message; stderr carries it once
+        part = {"kind": "product", "moments": [[1, 1, 0]]}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"kind": "mixture",
+                                    "parts": [["1/2", part], ["1/2", part]]}))
+        code, out, err = run_cli(capsys, ["eval", "--alpha", "1/2", "--mode", "float",
+                                          "--state", str(path), "u[0]*u[1]"])
+        assert (code, out) == (0, "float: 1\n")
+        assert err == f"warning: {INADMISSIBLE_AT_HALF}\n"
+
+    def test_main_restores_warning_filters(self, capsys, state_files):
+        before = list(warnings.filters)
+        code, _, err = run_cli(capsys, ["eval", "--alpha", "1/2", "--mode", "float",
+                                        "--state", state_files["inadmissible"], "u[0]*u[1]"])
+        assert code == 0 and err.startswith("warning: ")
+        assert warnings.filters == before
 
     def test_deterministic_output(self, capsys, state_files):
         argv = [
