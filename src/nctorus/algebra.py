@@ -138,9 +138,6 @@ class TorusAlgebra:
         prev = acc.get(nf)
         acc[nf] = coeff if prev is None else prev + coeff
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusAlgebra) and other.beta == self.beta
-
     def __repr__(self) -> str:
         return f"TorusAlgebra(beta={self.beta})"
 
@@ -168,9 +165,6 @@ class Element:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def support_indices(self) -> set[int]:
         out: set[int] = set()

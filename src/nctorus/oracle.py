@@ -27,8 +27,8 @@ from .states import (
     CesaroState,
     MomentSequence,
     StateSpec,
-    evaluate,
     evaluate_word,
+    evaluator,
     scalar_field,
 )
 
@@ -570,9 +570,11 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact") 
         raise InputError(f"a Gram family of {len(elements)} elements exceeds the "
                          f"limit {MAX_MOMENT_ORDER + 1}")
     exact = scalar_field(mode) is EXACT
+    # one validation and one memo for every entry; an empty family has no algebra
+    phi = evaluator(state, elements[0].algebra, mode=mode) if elements else None
 
     def entry(x_star: Element, y: Element):
-        value = evaluate(state, x_star * y, mode=mode)
+        value = phi(x_star * y)
         if exact and (value := value.to_qqi()) is None:
             raise InputError(
                 "Gram entries leave the Gaussian rationals; run the check in float mode"

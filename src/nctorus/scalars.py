@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm, pi
@@ -37,18 +36,35 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class QQi:
-    """Gaussian rational a + b*i with exact rational parts."""
+    """Gaussian rational a + b*i with exact rational parts; immutable."""
 
-    re: Fraction = _F0
-    im: Fraction = _F0
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", _as_fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re=_F0, im=_F0):
+        setattr_ = object.__setattr__
+        setattr_(self, "re", re if isinstance(re, Fraction) else _as_fraction(re))
+        setattr_(self, "im", im if isinstance(im, Fraction) else _as_fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QQi:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"QQi(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return QQi, (self.re, self.im)
 
     @classmethod
     def of(cls, x) -> QQi:
@@ -80,6 +96,8 @@ class QQi:
 
     def __mul__(self, other) -> QQi:
         other = QQi.of(other)
+        if not self.im and not other.im:  # two real operands: one product
+            return QQi(self.re * other.re, _F0)
         return QQi(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -165,7 +165,9 @@ def scalar_field(mode: str):
 
 
 class Values(dict):
-    """One evaluation's values by (id(state), word); the tree outlives it."""
+    """Values by (id(state), word), kept for one evaluation or for a run of
+    them (a check, a Gram matrix); the state trees outlive it.
+    """
 
     __slots__ = ("algebra", "field")
 
@@ -174,9 +176,10 @@ class Values(dict):
 
     def of(self, state: StateSpec, word: Word):
         key = id(state), word
-        if key not in self:
-            self[key] = state.value(word, self)
-        return self[key]
+        v = self.get(key)  # a value is never None
+        if v is None:
+            v = self[key] = state.value(word, self)
+        return v
 
 
 class StateSpec:
@@ -420,35 +423,54 @@ def evaluate_word(state: StateSpec, word: Word, algebra: TorusAlgebra, *,
                   mode: str = "exact"):
     """Value of the state on one normal-form word (a complex in float mode).
 
-    evaluate, the checkers and the Cesaro oracle call this module-level name
-    for each top-level word, so that a wrapper on it sees every evaluation.
+    evaluate and the Cesaro oracle call this module-level name for each
+    top-level word, so that a wrapper on it sees their evaluations.  The
+    checkers do not call it: they share one Values per check, as gram_psd
+    and clustering_gap share one per call (evaluator).
     """
     return state.value(word, Values(algebra, scalar_field(mode)))
 
 
-def evaluate(state: StateSpec, x: Element, *, mode: str = "exact"):
-    """Value of the state on an element (a complex in float mode).
+def _sum_over_terms(x: Element, field, value):
+    """Sum of coefficient times value(word) over the terms of x.
 
     Terms are visited in sorted word order, so the (exact) result is
     reproducible independently of dict history.
     """
-    field = scalar_field(mode)
-    validate_state(state, x.algebra.beta, mode=mode)
     total = field.zero
     for word, coeff in x.terms():
-        v = evaluate_word(state, word, x.algebra, mode=mode)
+        v = value(word)
         if not field.is_zero(v):
             total = total + field.coefficient(coeff) * v
     return total
 
 
+def evaluate(state: StateSpec, x: Element, *, mode: str = "exact"):
+    """Value of the state on an element (a complex in float mode)."""
+    field = scalar_field(mode)
+    validate_state(state, x.algebra.beta, mode=mode)
+    return _sum_over_terms(x, field,
+                           lambda word: evaluate_word(state, word, x.algebra, mode=mode))
+
+
+def evaluator(state: StateSpec, algebra: TorusAlgebra, *, mode: str = "exact"):
+    """The state as a function on elements of the algebra, for many elements.
+
+    The state is validated once, and every element is evaluated through one
+    shared Values, so words common to several elements are evaluated once.
+    """
+    field = scalar_field(mode)
+    validate_state(state, algebra.beta, mode=mode)
+    values = Values(algebra, field)
+    return lambda x: _sum_over_terms(x, field, lambda word: values.of(state, word))
+
+
 def clustering_gap(state: StateSpec, x: Element, y: Element, distance: int, *,
                    mode: str = "exact"):
     """phi(x * tau^distance(y)) - phi(x) * phi(y), in the given mode."""
-    def value(z):
-        return evaluate(state, z, mode=mode)
-
-    return value(x * translate(y, distance)) - value(x) * value(y)
+    xy = x * translate(y, distance)
+    value = evaluator(state, x.algebra, mode=mode)
+    return value(xy) - value(x) * value(y)
 
 
 # --- structured text format -------------------------------------------------

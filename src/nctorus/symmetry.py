@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from . import states
@@ -282,9 +283,11 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
 
 # Entries each per-check table keeps; past this many, a table computes each
 # further value afresh on every lookup, so a check's memory stays bounded
-# however many actions or angles its family has.  The CLI default budget
-# meets about 4,800 distinct normal forms among the words and their images,
-# 1,181 among the words.
+# however many actions or angles its family has.  The check's state values
+# (a states.Values shared by the whole check) start afresh between two
+# top-level words once they hold this many.  The CLI default budget meets
+# about 4,800 distinct normal forms among the words and their images, 1,181
+# among the words.
 MAX_CACHED_VALUES = 2**16
 
 
@@ -308,27 +311,34 @@ class _ValueTable(dict):
         return v
 
 
-def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials, seed,
-           max_factors, max_index, max_exponent, exhaustive, mode) -> CheckReport:
+def _check(name, state, beta, actions_note, actions, classes, draw, act, label, *,
+           trials, seed, max_factors, max_index, max_exponent, exhaustive,
+           mode) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
     actions is a sized sequence; act(action) gives a move on normal-form
     words: move(word) is (angle, mapped word), and alpha sends the word to
-    e(angle) times the mapped word.  Each word is normal-ordered once and
-    the actions move its normal form, which is sound because index maps
-    increase strictly (no new inversions) and gauge actions keep the degree.
+    e(angle) times the mapped word.  classes(word) lists, in increasing
+    order, the first action index of each class of actions that move the
+    word identically.  Each word is normal-ordered once and the actions
+    move its normal form, which is sound because index maps increase
+    strictly (no new inversions) and gauge actions keep the degree.
     Exhaustive pass: every factor word within the word budget against every
     action.  A word w is e(twist) times its normal form nf, so the pass
     computes one verdict per normal form (the index of the first failing
-    action, or None) and replays the words' order from the verdicts.  In
-    exact mode e(twist) is a unit, so phi(alpha(w)) = phi(w) exactly when
-    phi(alpha(nf)) = phi(nf) and the verdict is keyed by (0, nf); in float
-    mode it is keyed by (twist, nf), so rounding sees the same products as a
-    case-by-case pass.  Randomized pass: trial t draws a word and then
-    draw(rng, word) from seed xor t.  Pairs that an action leaves unchanged
-    count as cases but are not evaluated again.  Every memo, here and in
-    the moves, is a _ValueTable: state values by normal form, verdicts,
-    rotations by angle and moves by action index.
+    action, or None) and replays the words' order from the verdicts.  Every
+    member of a class has its class's image, so the verdict compares one
+    image per class, and the first failing class member listed is the first
+    failing action.  In exact mode e(twist) is a unit, so phi(alpha(w)) =
+    phi(w) exactly when phi(alpha(nf)) = phi(nf) and the verdict is keyed
+    by (0, nf); in float mode it is keyed by (twist, nf), so rounding sees
+    the same products as a case-by-case pass.  Randomized pass: trial t
+    draws a word and then draw(rng, word) from seed xor t.  Pairs that an
+    action leaves unchanged count as cases but are not evaluated again.
+    State values come from one states.Values for the whole check, which
+    starts afresh between two top-level words once it holds
+    MAX_CACHED_VALUES entries; every other memo, here and in the moves, is
+    a _ValueTable: verdicts, rotations by angle and moves by action index.
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
@@ -340,12 +350,15 @@ def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials
         f"words: <={max_factors} factors, |index|<={max_index}, "
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
-    values = _ValueTable(lambda word: states.evaluate_word(state, word, algebra, mode=mode))
+    memo = states.Values(algebra, field)
     rotations = _ValueTable(lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
     moves = _ValueTable(lambda k: act(actions[k]))
 
     def word_value(twist, word):
-        v = values[word]
+        nonlocal memo
+        if len(memo) >= MAX_CACHED_VALUES:
+            memo = states.Values(algebra, field)
+        v = memo.of(state, word)
         if twist and not field.is_zero(v):
             v = v * field.coefficient(algebra.twist_phase(twist))
         return v
@@ -360,7 +373,7 @@ def _check(name, state, beta, actions_note, actions, draw, act, label, *, trials
     def first_failure(key):
         twist, nf = key
         base = word_value(twist, nf)
-        for k in range(len(actions)):
+        for k in classes(nf):
             if not field.equal(image(twist, nf, base, moves[k]), base):
                 return k
         return None
@@ -399,6 +412,19 @@ def _index_map_move(h):
     return lambda word: (0, tuple((table[i], e) for i, e in word))
 
 
+def _index_map_classes(maps):
+    """classes(word) for index maps: the first index of each distinct
+    restriction of the maps to the word's support, once per support."""
+    def firsts(support):
+        first = {}
+        for k, h in enumerate(maps):
+            first.setdefault(tuple(map(h, support)), k)
+        return tuple(first.values())
+
+    table = _ValueTable(firsts)
+    return lambda word: table[tuple(i for i, _ in word)]
+
+
 _SPREADING_MAPS = tuple(spreading_map_grammar())
 
 
@@ -430,7 +456,8 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
 
     return _check(
         "spreadable", state, beta, "maps: <=2 generators with |pivot|<=2",
-        _SPREADING_MAPS, draw, _index_map_move, lambda h: h.describe(),
+        _SPREADING_MAPS, _index_map_classes(_SPREADING_MAPS), draw, _index_map_move,
+        lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
     )
@@ -445,7 +472,8 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
     shift = Shift(power)
     return _check(
         "stationary", state, beta, f"shift power: {power}", [shift],
-        lambda rng, factors: shift, _index_map_move, lambda h: f"tau^{power}",
+        lambda word: range(1), lambda rng, factors: shift, _index_map_move,
+        lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
     )
@@ -462,7 +490,8 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     beta: the annihilator is the whole circle, so the angles j/8 stand in
     for it.  The actions are the numerators j in range(n) (or range(8)); a
     word of degree d turns by the angle (j*d mod n)/n, taken from one table
-    shared by every j.
+    shared by every j.  That angle depends on j mod n/gcd(d, n) only, so
+    the classes of a word of degree d are the first n/gcd(d, n) numerators.
     """
     iso = isotropy(beta)
     if iso.generator is not None:
@@ -478,6 +507,7 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
 
     return _check(
         "gauge-invariant", state, beta, angle_note, range(count),
+        lambda word: range(count // gcd(word_degree(word), count)),
         lambda rng, factors: rng.randrange(count), act,
         lambda j: f"gauge angle {Fraction(j, count)}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,

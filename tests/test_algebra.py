@@ -140,6 +140,34 @@ class TestElement:
         a = TorusAlgebra(BETA_QUARTER)
         assert a.u(3).adjoint() == a.u(3, -1)
 
+    def test_zero_exponent_is_the_unit(self):
+        a = TorusAlgebra(BETA_QUARTER)
+        assert a.u(3, 0).terms() == a.one().terms() == [((), 1)]
+        assert parse("u[3]^0", a) == a.one()
+
+    def test_scalar_operands(self):
+        a = TorusAlgebra(BETA_QUARTER)
+        u = a.u(1)
+        assert (u + 2).terms() == (2 + u).terms() == [((), 2), (((1, 1),), 1)]
+        assert (u - F(1, 2)).terms() == [((), F(-1, 2)), (((1, 1),), 1)]
+        assert (1 - u).terms() == [((), 1), (((1, 1),), -1)]
+        assert u + 2 - u == 2 and 2 + u - 2 == u
+
+    def test_unequal_elements(self):
+        a, b = TorusAlgebra(BETA_QUARTER), TorusAlgebra(BETA_HALF)
+        assert a.one() != b.one()  # same terms over different parameters
+        assert a.u(0) != a.u(0, 2) and a.u(0) != a.u(0) + a.u(1)  # other words
+        assert a.u(0) != 2 * a.u(0)  # same word, other coefficient
+        assert a.u(0) == a.u(0) and a.scalar(2) == 2 and a.u(0) != 2
+
+    def test_text_forms(self):
+        a = TorusAlgebra(BETA_QUARTER)
+        x = a.u(0) + 2
+        assert str(x) == "2 + u[0]" and repr(x) == "<Element 2 + u[0]>"
+        assert str(a.zero()) == "0"
+        assert repr(a) == "TorusAlgebra(beta=1/4)"
+        assert repr(TorusAlgebra(IRRATIONAL)) == "TorusAlgebra(beta=irrational)"
+
     def test_adjoint_scalar(self):
         a = TorusAlgebra(BETA_QUARTER)
         x = a.scalar(PhaseCoefficient.unit_angle(F(1, 3)))

@@ -814,9 +814,9 @@ def test_oracle_psd_gram_family_is_bounded(capsys, state_files, monkeypatch):
     assert (code, out) == (0, f"gram matrix ({largest} words): positive semidefinite\n")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a Gram entry was evaluated")
+        raise AssertionError("the Gram entries started")
 
-    monkeypatch.setattr(oracle, "evaluate", refuse)
+    monkeypatch.setattr(oracle, "evaluator", refuse)
     code, out, err = run_cli(capsys, argv + ["u[0]"] * (largest + 1))
     assert (code, out) == (2, "")
     assert f"a Gram family of {largest + 1} elements exceeds the limit {largest}" in err

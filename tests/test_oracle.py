@@ -33,7 +33,7 @@ from nctorus import (
     normal_form,
     toeplitz_psd,
 )
-from nctorus import oracle
+from nctorus import oracle, states
 from nctorus.algebra import word_translate
 from nctorus.deformation import InputError
 from nctorus.oracle import _quadratic_form
@@ -454,6 +454,30 @@ class TestGram:
         assert not verdict.is_psd
         assert verdict.min_eigenvalue < -1e-6
         assert abs(verdict.min_eigenvalue - (1 - 2**0.5)) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_family_validates_once_and_shares_values(self, monkeypatch, mode):
+        # 20 words, 400 entries: one validation, and each word that the
+        # entries share is evaluated once
+        validations, words = [], []
+        validate, value = states.validate_state, ProductState.value
+
+        def counted_validate(*args, **options):
+            validations.append(args)
+            return validate(*args, **options)
+
+        def counted_value(self, word, values):
+            words.append(word)
+            return value(self, word, values)
+
+        monkeypatch.setattr(states, "validate_state", counted_validate)
+        monkeypatch.setattr(ProductState, "value", counted_value)
+        a = TorusAlgebra(canonicalize(1, 2))
+        family = [a.u(i, e) for i in range(-2, 3) for e in (-2, -1, 1, 2)]
+        state = ProductState(MomentSequence({0: 1, 2: F(1, 2)}))
+        assert gram_psd(state, family, mode=mode).is_psd
+        assert len(validations) == 1
+        assert len(words) == len(set(words)) < len(family) ** 2
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_empty_family_is_psd_in_both_modes(self, mode):

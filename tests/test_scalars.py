@@ -1,6 +1,8 @@
 """Exact scalar ring tests: Gaussian rationals and cyclotomic phase sums."""
 
 import cmath
+import copy
+import pickle
 from collections import defaultdict
 from fractions import Fraction
 from math import pi
@@ -42,6 +44,44 @@ class TestQQi:
     def test_complex_conversion(self):
         z = QQi(F(3, 4), F(-2, 5))
         assert complex(z) == 0.75 - 0.4j
+
+    def test_value_object(self):
+        z = QQi(F(1, 2))
+        assert repr(z) == "QQi(re=Fraction(1, 2), im=Fraction(0, 1))"
+        assert z == QQi(re=F(1, 2), im=0) and z != QQi(F(1, 2), 1)
+        assert hash(z) == hash(QQi(F(2, 4))) == hash((F(1, 2), F(0)))
+        assert z != F(1, 2) and z != (F(1, 2), F(0))  # only a QQi equals a QQi
+        assert QQi() == QQi(0, 0) and type(QQi(1).re) is Fraction
+        assert copy.copy(z) == pickle.loads(pickle.dumps(z)) == z
+        with pytest.raises(AttributeError, match="cannot assign"):
+            z.re = F(1)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            del z.im
+        with pytest.raises(AttributeError):
+            z.extra = 1
+        assert z == QQi(F(1, 2)) and not hasattr(z, "__dict__")
+
+
+def four_products(a, b):
+    """(a.re + a.im i)(b.re + b.im i) by the four-product formula."""
+    return QQi(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+rationals = st.fractions(max_denominator=50, min_value=-20, max_value=20)
+gaussians = st.one_of(
+    st.just(QQi()),
+    st.builds(QQi, rationals),
+    st.builds(lambda im: QQi(0, im), rationals),
+    st.builds(QQi, rationals, rationals),
+)
+operands = st.one_of(gaussians, st.integers(-20, 20), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaussians, operands)
+def test_product_matches_four_product_formula(a, b):
+    expected = four_products(a, QQi.of(b))
+    assert a * b == expected and b * a == expected
 
 
 class TestCyclotomic:

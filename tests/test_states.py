@@ -27,6 +27,7 @@ from nctorus import (
     translate,
     validate_state,
 )
+from nctorus import states
 from nctorus.states import _BlockFamily, cesaro_runs
 
 F = Fraction
@@ -337,6 +338,20 @@ class TestMixtureAndClustering:
         a = TorusAlgebra(BETA_HALF)
         x = a.word([(0, 2)])
         assert clustering_gap(mixture_base(), x, x, 5) == F(1, 9)
+
+    def test_gap_validates_once(self, monkeypatch):
+        calls = []
+        validate = states.validate_state
+
+        def counted(*args, **options):
+            calls.append(args)
+            return validate(*args, **options)
+
+        monkeypatch.setattr(states, "validate_state", counted)
+        a = TorusAlgebra(BETA_HALF)
+        x = a.word([(0, 2)]) + a.word([(1, -2)])
+        assert clustering_gap(mixture_base(), x, x, 5) == F(4, 9)
+        assert len(calls) == 1
 
 
 class TestStateAxiomsSampled:

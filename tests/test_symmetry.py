@@ -37,6 +37,7 @@ from nctorus.expr import format_word
 from nctorus.oracle import brute_cesaro_word, brute_normal_form, gram_psd
 from nctorus.scalars import PhaseCoefficient
 from nctorus.symmetry import (
+    Counterexample,
     MAX_EXHAUSTIVE_CASES,
     MAX_TRIALS,
     _check_budget,
@@ -329,21 +330,40 @@ def test_index_map_move_evaluates_used_indices_once():
     assert calls == [-10**9, 3, 10**9]
 
 
-def test_state_evaluated_once_per_normal_form(monkeypatch):
+def counted_values(monkeypatch, kind):
+    """The words on which kind.value runs, from now on."""
     words = []
-    evaluate_word = states.evaluate_word
+    value = kind.value
 
-    def counted(state, word, algebra, **options):
+    def counted(self, word, values):
         words.append(word)
-        return evaluate_word(state, word, algebra, **options)
+        return value(self, word, values)
 
-    monkeypatch.setattr(states, "evaluate_word", counted)
+    monkeypatch.setattr(kind, "value", counted)
+    return words
+
+
+def test_state_evaluated_once_per_normal_form(monkeypatch):
+    words = counted_values(monkeypatch, ProductState)
+    report = check_spreadable(soft_product(), BETA_HALF, trials=0)
+    assert report.passed and report.exhaustive_cases == 8421 * 57
+    # the exhaustive pass meets 4,813 normal forms, each evaluated once
+    assert len(words) == len(set(words)) == 4813
+    words.clear()
     report = check_spreadable(soft_product(), BETA_HALF)
-    assert report.passed
     assert (report.exhaustive_cases, report.random_trials) == (8421 * 57, 1000)
-    # the exhaustive pass meets 4,813 normal forms; a trial adds at most one
-    assert len(words) == len(set(words))
-    assert len(words) <= 4813 + 1000
+    # a trial adds at most one
+    assert len(words) == len(set(words)) <= 4813 + 1000
+
+
+def test_block_base_evaluated_once_per_block(monkeypatch):
+    # the check shares one memo across its words: the 1,181 normal forms
+    # and their images split into 86 distinct blocks for the mixture base
+    words = counted_values(monkeypatch, MixtureState)
+    report = check_stationary(block_mixture(), BETA_HALF, power=3)
+    assert report.passed
+    assert (report.exhaustive_cases, report.random_trials) == (8421, 1000)
+    assert len(words) == len(set(words)) == 86
 
 
 def test_trials_limit():
@@ -393,9 +413,10 @@ def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
     report = check_spreadable(soft_product(), BETA_HALF, trials=0)
     assert report.passed
     assert report.exhaustive_cases == 8421 * 57
-    # 1,181 distinct normal forms among the 8,421 words, each moved by 57 maps
+    # 1,181 distinct normal forms among the 8,421 words, each moved once per
+    # class of maps with one restriction to its support: 13,581 of 1,181 x 57
     assert len(set(calls)) == 1181
-    assert len(calls) == 1181 * 57
+    assert len(calls) == 13581
 
 
 @pytest.mark.filterwarnings("ignore:moments supported outside")
@@ -424,26 +445,60 @@ def test_gauge_check_builds_one_rotation_per_angle(monkeypatch):
     assert sorted(angles) == [F(1, 4), F(1, 2), F(3, 4)]
 
 
-def reference_pass(state, beta, actions, act_on, label):
-    """Case by case on elements: the first (word, action) whose value moves."""
+def reference_report(checker, state, beta, budget, *, mode="exact", power=1):
+    """(passed, cases, counterexample) of a naive case-by-case pass.
+
+    Every word of reference_words(*budget) against every action, on
+    elements, evaluated through states.evaluate: no verdict tables, no
+    classes of actions and no shared values.
+    """
+    if checker == "spreadable":
+        actions, act_on, label = spreading_map_grammar(), apply_index_map, lambda h: h.describe()
+    elif checker == "stationary":
+        actions, act_on, label = [Shift(power)], apply_index_map, lambda h: f"tau^{power}"
+    else:
+        n = isotropy(beta).generator or 8
+        actions, act_on, label = [F(j, n) for j in range(n)], apply_gauge, "gauge angle {}".format
+    moved = ((lambda a, b: a != b) if mode == "exact"
+             else (lambda a, b: abs(a - b) > states.FLOAT_TOLERANCE))
     algebra = TorusAlgebra(beta)
     cases = 0
-    for factors in reference_words(2, 1, 2):
+    for factors in reference_words(*budget):
         x = algebra.word(factors)
-        before = evaluate(state, x)
+        before = evaluate(state, x, mode=mode)
         for action in actions:
             cases += 1
-            after = evaluate(state, act_on(x, action))
-            if after != before:
-                return [f"exhaustive cases: {cases}", "result: FAIL",
-                        f"witness word: {format_word(factors) or '1'}",
-                        f"action: {label(action)}",
-                        f"value before: {before}", f"value after: {after}"]
-    return [f"exhaustive cases: {cases}", "result: PASS"]
+            after = evaluate(state, act_on(x, action), mode=mode)
+            if moved(after, before):
+                return False, cases, Counterexample(format_word(factors) or "1",
+                                                    label(action), str(before), str(after))
+    return True, cases, None
+
+
+CHECKERS = {"spreadable": check_spreadable, "stationary": check_stationary,
+            "gauge": check_gauge_invariant}
+
+
+def checker_report(checker, state, beta, budget, *, mode="exact", power=1):
+    max_factors, max_index, max_exponent = budget
+    options = dict(power=power) if checker == "stationary" else {}
+    report = CHECKERS[checker](state, beta, max_factors=max_factors, max_index=max_index,
+                               max_exponent=max_exponent, trials=0, mode=mode, **options)
+    assert report.random_trials == 0
+    return report.passed, report.exhaustive_cases, report.counterexample
 
 
 def block_mixture():
     return BlockProductState(1, mixture_base())
+
+
+def cesaro_mixture():
+    return CesaroState(1, mixture_base())
+
+
+def off_isotropy():
+    # float moments at +-1, off the isotropy subgroup 2Z of beta = 1/2
+    return ProductState(MomentSequence({0: 1, 1: 0.5}, mode="float"))
 
 
 @pytest.mark.parametrize("make_state, beta", [
@@ -453,23 +508,63 @@ def block_mixture():
 ])
 @pytest.mark.parametrize("checker", ["spreadable", "stationary", "gauge"])
 def test_verdicts_match_case_by_case_reference(make_state, beta, checker):
+    state, budget = make_state(), (2, 1, 2)
+    assert (checker_report(checker, state, beta, budget)
+            == reference_report(checker, state, beta, budget))
+
+
+def quarter_product():
+    return ProductState(MomentSequence({0: 1, 4: F(1, 2)}))
+
+
+def trace():
+    return TRACE
+
+
+# (checker, state, beta, budget, mode, shift power, passes)
+REFERENCE_CASES = [
+    ("spreadable", soft_product, BETA_HALF, (2, 1, 2), "float", 1, True),
+    ("spreadable", soft_product, BETA_HALF, (3, 1, 1), "exact", 1, True),
+    ("spreadable", mixture_base, BETA_HALF, (1, 2, 2), "float", 1, True),
+    ("spreadable", trace, IRRATIONAL, (2, 2, 1), "float", 1, True),
+    ("spreadable", cesaro_mixture, BETA_HALF, (3, 1, 1), "exact", 1, True),
+    ("stationary", cesaro_mixture, BETA_HALF, (2, 2, 2), "float", 1, True),
+    ("stationary", block_mixture, BETA_HALF, (2, 2, 2), "exact", 3, True),
+    ("stationary", block_mixture, BETA_HALF, (3, 1, 1), "exact", 1, True),
+    ("gauge", mixture_base, BETA_HALF, (3, 1, 1), "float", 1, True),
+    ("gauge", quarter_product, canonicalize(3, 8), (2, 1, 3), "exact", 1, True),
+    ("gauge", block_mixture, BETA_HALF, (2, 1, 2), "float", 1, True),
+    ("gauge", trace, IRRATIONAL, (1, 1, 3), "exact", 1, True),
+    # block states under shift power 1 (and 2)
+    ("stationary", block_mixture, BETA_HALF, (2, 1, 2), "float", 1, False),
+    ("stationary", block_mixture, BETA_HALF, (2, 2, 2), "exact", 1, False),
+    ("stationary", block_mixture, BETA_HALF, (2, 2, 2), "float", 2, False),
+    # states that are not spreadable
+    ("spreadable", block_mixture, BETA_HALF, (2, 1, 2), "float", 1, False),
+    ("spreadable", block_mixture, BETA_HALF, (2, 2, 2), "exact", 1, False),
+    ("spreadable", cesaro_mixture, BETA_HALF, (2, 1, 2), "exact", 1, False),
+    ("spreadable", cesaro_mixture, BETA_HALF, (2, 1, 2), "float", 1, False),
+    # an inadmissible float product under the gauge action
+    ("gauge", off_isotropy, BETA_HALF, (2, 1, 2), "float", 1, False),
+    ("gauge", off_isotropy, BETA_HALF, (2, 2, 1), "float", 1, False),
+    ("gauge", off_isotropy, IRRATIONAL, (1, 1, 2), "float", 1, False),
+]
+
+
+def reference_case_id(case):
+    checker, make_state, beta, budget, mode, power, _ = case
+    return f"{checker}^{power}-{make_state.__name__}-{beta}-{budget}-{mode}"
+
+
+@pytest.mark.filterwarnings("ignore:moments supported outside")
+@pytest.mark.parametrize("checker, make_state, beta, budget, mode, power, passes",
+                         REFERENCE_CASES, ids=map(reference_case_id, REFERENCE_CASES))
+def test_reports_match_case_by_case_reference(checker, make_state, beta, budget, mode,
+                                              power, passes):
     state = make_state()
-    words = dict(max_factors=2, max_index=1, max_exponent=2, trials=0)
-    if checker == "spreadable":
-        maps = spreading_map_grammar()
-        report = check_spreadable(state, beta, **words)
-        expected = reference_pass(state, beta, maps, apply_index_map, lambda h: h.describe())
-    elif checker == "stationary":
-        report = check_stationary(state, beta, **words)
-        expected = reference_pass(state, beta, [Shift(1)], apply_index_map,
-                                  lambda h: "tau^1")
-    else:
-        n = isotropy(beta).generator or 8
-        report = check_gauge_invariant(state, beta, **words)
-        expected = reference_pass(state, beta, [F(j, n) for j in range(n)], apply_gauge,
-                                  lambda z: f"gauge angle {z}")
-    lines = report.lines()
-    assert lines[3:] == [expected[0], "random trials: 0"] + expected[1:]
+    expected = reference_report(checker, state, beta, budget, mode=mode, power=power)
+    assert expected[0] is passes
+    assert checker_report(checker, state, beta, budget, mode=mode, power=power) == expected
 
 
 def test_random_pass_window_limit():
