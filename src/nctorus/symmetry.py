@@ -318,11 +318,14 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
 
     actions is a sized sequence; act(action) gives a move on normal-form
     words: move(word) is (angle, mapped word), and alpha sends the word to
-    e(angle) times the mapped word.  classes(word) lists, in increasing
-    order, the first action index of each class of actions that move the
-    word identically.  Each word is normal-ordered once and the actions
-    move its normal form, which is sound because index maps increase
-    strictly (no new inversions) and gauge actions keep the degree.
+    e(angle) times the mapped word.  classes(word, zero) lists, in
+    increasing order, the first action index of each class of actions that
+    give the word the same image, where zero tells whether the word's value
+    is zero; a family whose moves only turn the word lists no class for a
+    zero value, since every turn of zero is zero.  Each word is
+    normal-ordered once and the actions move its normal form, which is
+    sound because index maps increase strictly (no new inversions) and
+    gauge actions keep the degree.
     Exhaustive pass: every factor word within the word budget against every
     action.  A word w is e(twist) times its normal form nf, so the pass
     computes one verdict per normal form (the index of the first failing
@@ -333,8 +336,13 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
     phi(w) exactly when phi(alpha(nf)) = phi(nf) and the verdict is keyed
     by (0, nf); in float mode it is keyed by (twist, nf), so rounding sees
     the same products as a case-by-case pass.  Randomized pass: trial t
-    draws a word and then draw(rng, word) from seed xor t.  Pairs that an
-    action leaves unchanged count as cases but are not evaluated again.
+    draws a word and then its action from seed xor t, through
+    draw(rng, word) or, when draw is None, as a member of actions.  Pairs
+    that an action leaves unchanged count as cases but are not evaluated
+    again.  So do the trials after a passing exhaustive pass when draw is
+    None: the drawn word is one of the budget's words, the action one of
+    actions, and the pass compared the image of that very case (through its
+    (0, nf) or (twist, nf) verdict), so no such trial can fail.
     State values come from one states.Values for the whole check, which
     starts afresh between two top-level words once it holds
     MAX_CACHED_VALUES entries; every other memo, here and in the moves, is
@@ -373,7 +381,7 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
     def first_failure(key):
         twist, nf = key
         base = word_value(twist, nf)
-        for k in classes(nf):
+        for k in classes(nf, field.is_zero(base)):
             if not field.equal(image(twist, nf, base, moves[k]), base):
                 return k
         return None
@@ -394,10 +402,10 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
             base = word_value(twist, nf)
             return failed(cases + k + 1, 0, factors, actions[k], base,
                           image(twist, nf, base, moves[k]))
-    for t in range(trials):
+    for t in range(0 if exhaustive and draw is None else trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)
-        action = draw(rng, factors)
+        action = actions[rng.randrange(len(actions))] if draw is None else draw(rng, factors)
         twist, nf = normal_form(factors)
         base = word_value(twist, nf)
         after = image(twist, nf, base, act(action))
@@ -413,8 +421,10 @@ def _index_map_move(h):
 
 
 def _index_map_classes(maps):
-    """classes(word) for index maps: the first index of each distinct
-    restriction of the maps to the word's support, once per support."""
+    """classes(word, zero) for index maps: the first index of each distinct
+    restriction of the maps to the word's support, once per support.  A map
+    can send a word of value zero to one of another value, so zero is not
+    used."""
     def firsts(support):
         first = {}
         for k, h in enumerate(maps):
@@ -422,7 +432,7 @@ def _index_map_classes(maps):
         return tuple(first.values())
 
     table = _ValueTable(firsts)
-    return lambda word: table[tuple(i for i, _ in word)]
+    return lambda word, zero: table[tuple(i for i, _ in word)]
 
 
 _SPREADING_MAPS = tuple(spreading_map_grammar())
@@ -472,7 +482,7 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
     shift = Shift(power)
     return _check(
         "stationary", state, beta, f"shift power: {power}", [shift],
-        lambda word: range(1), lambda rng, factors: shift, _index_map_move,
+        lambda word, zero: range(1), None, _index_map_move,
         lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
@@ -491,7 +501,9 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     for it.  The actions are the numerators j in range(n) (or range(8)); a
     word of degree d turns by the angle (j*d mod n)/n, taken from one table
     shared by every j.  That angle depends on j mod n/gcd(d, n) only, so
-    the classes of a word of degree d are the first n/gcd(d, n) numerators.
+    the classes of a word of degree d are the first n/gcd(d, n) numerators;
+    a word of value zero has none to compare, as every turn of zero is zero.
+    Trial t draws its numerator with randrange(n) (or randrange(8)).
     """
     iso = isotropy(beta)
     if iso.generator is not None:
@@ -507,8 +519,8 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
 
     return _check(
         "gauge-invariant", state, beta, angle_note, range(count),
-        lambda word: range(count // gcd(word_degree(word), count)),
-        lambda rng, factors: rng.randrange(count), act,
+        lambda word, zero: () if zero else range(count // gcd(word_degree(word), count)),
+        None, act,
         lambda j: f"gauge angle {Fraction(j, count)}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,

@@ -3,8 +3,10 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nctorus import (
     BlockProductState,
@@ -52,6 +54,10 @@ F = Fraction
 BETA_HALF = canonicalize(1, 2)
 
 SMALL = dict(trials=50, max_factors=2, max_index=1, max_exponent=1)
+
+
+def trace():
+    return TRACE
 
 
 def soft_product():
@@ -268,6 +274,100 @@ def test_random_words_unchanged_for_nonzero_exponents():
     assert random_factor_word(random.Random(12345), 4, 3, 1) == ((-3, 1), (-1, -1), (0, 1))
 
 
+@lru_cache(maxsize=None)
+def budget_words(max_factors, max_index, max_exponent):
+    return {factors: (twist, nf)
+            for factors, twist, nf in iter_normal_words(max_factors, max_index, max_exponent)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+@example(0, 0, 2, 2)
+@example(0, 3, 2, 0)
+def test_random_words_are_exhaustive_words(seed, max_factors, max_index, max_exponent):
+    # the premise of counting the gauge and shift trials after a passing
+    # exhaustive pass: each drawn word is one of the pass's words, with the
+    # normal form and twist the pass gave it
+    words = budget_words(max_factors, max_index, max_exponent)
+    factors = random_factor_word(random.Random(seed), max_factors, max_index, max_exponent)
+    assert factors in words
+    assert normal_form(factors) == words[factors]
+
+
+def counted_draws(monkeypatch):
+    """The words symmetry.random_factor_word draws, from now on."""
+    drawn = []
+    draw = symmetry.random_factor_word
+
+    def counted(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(symmetry, "random_factor_word", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("checker, make_state, exhaustive, drawn", [
+    (check_gauge_invariant, trace, True, 0),
+    (check_gauge_invariant, soft_product, True, 0),
+    (check_stationary, soft_product, True, 0),
+    (check_gauge_invariant, soft_product, False, 1000),
+    (check_stationary, soft_product, False, 1000),
+    (check_spreadable, soft_product, True, 1000),
+    (check_spreadable, soft_product, False, 1000),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_trials_drawn_only_outside_a_passing_exhaustive_pass(monkeypatch, checker, make_state,
+                                                             exhaustive, drawn):
+    # a gauge or shift trial draws a budget word and one of the family's
+    # actions, a case a passing exhaustive pass has decided; spreadability
+    # draws tables outside its 57 maps
+    words = counted_draws(monkeypatch)
+    report = checker(make_state(), BETA_HALF, exhaustive=exhaustive)
+    assert report.passed and report.random_trials == 1000
+    assert len(words) == drawn
+
+
+def counted_comparisons(monkeypatch):
+    """The (image, value) pairs of state values the exact field compares,
+    from now on; validating a state compares QQi moments, left out here."""
+    pairs = []
+
+    def counted(a, b):
+        if isinstance(a, PhaseCoefficient):
+            pairs.append((a, b))
+        return a == b
+
+    monkeypatch.setattr(states.ExactField, "equal", staticmethod(counted))
+    return pairs
+
+
+def test_gauge_check_compares_no_image_of_a_zero_value(monkeypatch):
+    # every rotation of zero is zero: the trace's u[0] and u[0]^-1 pass all
+    # 1,048,573 angles with no image compared, the empty word through its
+    # one class
+    pairs = counted_comparisons(monkeypatch)
+    report = check_gauge_invariant(TRACE, canonicalize(1, 1048573), max_factors=1,
+                                   max_index=0, max_exponent=1, trials=0)
+    assert report.lines() == [
+        "property: gauge-invariant",
+        "state: trace",
+        "budget: words: <=1 factors, |index|<=0, |exponent|<=1; "
+        "all 1048573 annihilator angles; trials: 0",
+        "exhaustive cases: 3145719",
+        "random trials: 0",
+        "result: PASS",
+    ]
+    assert len(pairs) == 1
+    # a nonzero value is still rotated: u[0]^2 under the angle 1/2
+    pairs.clear()
+    squares = ProductState(MomentSequence({0: 1, 2: F(1, 2)}))
+    report = check_gauge_invariant(squares, BETA_HALF, max_factors=1, max_index=0,
+                                   max_exponent=2, trials=0)
+    assert report.passed and report.exhaustive_cases == 5 * 2
+    # the empty word and u[0]^+-2 in their one class; u[0]^+-1 compare none
+    assert len(pairs) == 3
+
+
 @pytest.mark.parametrize("checker", [check_spreadable, check_stationary, check_gauge_invariant])
 @pytest.mark.parametrize("budget", [
     dict(max_factors=2, max_index=1, max_exponent=1),
@@ -445,15 +545,20 @@ def test_gauge_check_builds_one_rotation_per_angle(monkeypatch):
     assert sorted(angles) == [F(1, 4), F(1, 2), F(3, 4)]
 
 
-def reference_report(checker, state, beta, budget, *, mode="exact", power=1):
-    """(passed, cases, counterexample) of a naive case-by-case pass.
+def reference_report(checker, state, beta, budget, *, mode="exact", power=1,
+                     trials=0, seed=0, exhaustive=True):
+    """(passed, cases, trials, counterexample) of a naive case-by-case pass.
 
-    Every word of reference_words(*budget) against every action, on
-    elements, evaluated through states.evaluate: no verdict tables, no
-    classes of actions and no shared values.
+    Every word of reference_words(*budget) against every action, then every
+    random trial, drawn as the checkers draw it (a word, then one of the
+    actions, from seed xor t), on elements, evaluated through
+    states.evaluate: no verdict tables, no classes of actions, no shared
+    values and no trial left out.  Spreadability's trials draw tables, so
+    its rows run none.
     """
     if checker == "spreadable":
         actions, act_on, label = spreading_map_grammar(), apply_index_map, lambda h: h.describe()
+        assert not trials
     elif checker == "stationary":
         actions, act_on, label = [Shift(power)], apply_index_map, lambda h: f"tau^{power}"
     else:
@@ -462,30 +567,44 @@ def reference_report(checker, state, beta, budget, *, mode="exact", power=1):
     moved = ((lambda a, b: a != b) if mode == "exact"
              else (lambda a, b: abs(a - b) > states.FLOAT_TOLERANCE))
     algebra = TorusAlgebra(beta)
-    cases = 0
-    for factors in reference_words(*budget):
+
+    def witness(factors, action):
         x = algebra.word(factors)
         before = evaluate(state, x, mode=mode)
+        after = evaluate(state, act_on(x, action), mode=mode)
+        if moved(after, before):
+            return Counterexample(format_word(factors) or "1", label(action),
+                                  str(before), str(after))
+        return None
+
+    cases = 0
+    for factors in reference_words(*budget) if exhaustive else ():
         for action in actions:
             cases += 1
-            after = evaluate(state, act_on(x, action), mode=mode)
-            if moved(after, before):
-                return False, cases, Counterexample(format_word(factors) or "1",
-                                                    label(action), str(before), str(after))
-    return True, cases, None
+            cx = witness(factors, action)
+            if cx:
+                return False, cases, 0, cx
+    for t in range(trials):
+        rng = random.Random(seed ^ t)
+        factors = random_factor_word(rng, *budget)
+        cx = witness(factors, actions[rng.randrange(len(actions))])
+        if cx:
+            return False, cases, t + 1, cx
+    return True, cases, trials, None
 
 
 CHECKERS = {"spreadable": check_spreadable, "stationary": check_stationary,
             "gauge": check_gauge_invariant}
 
 
-def checker_report(checker, state, beta, budget, *, mode="exact", power=1):
+def checker_report(checker, state, beta, budget, *, mode="exact", power=1, trials=0,
+                   **random_pass):
     max_factors, max_index, max_exponent = budget
     options = dict(power=power) if checker == "stationary" else {}
     report = CHECKERS[checker](state, beta, max_factors=max_factors, max_index=max_index,
-                               max_exponent=max_exponent, trials=0, mode=mode, **options)
-    assert report.random_trials == 0
-    return report.passed, report.exhaustive_cases, report.counterexample
+                               max_exponent=max_exponent, trials=trials, mode=mode,
+                               **random_pass, **options)
+    return report.passed, report.exhaustive_cases, report.random_trials, report.counterexample
 
 
 def block_mixture():
@@ -499,6 +618,12 @@ def cesaro_mixture():
 def off_isotropy():
     # float moments at +-1, off the isotropy subgroup 2Z of beta = 1/2
     return ProductState(MomentSequence({0: 1, 1: 0.5}, mode="float"))
+
+
+def block_off_isotropy():
+    # u[-2]^-1*u[-1]^-1 straddles two blocks and has value 0; its shift
+    # lies in one block, of value 1/4
+    return BlockProductState(1, off_isotropy())
 
 
 @pytest.mark.parametrize("make_state, beta", [
@@ -517,11 +642,7 @@ def quarter_product():
     return ProductState(MomentSequence({0: 1, 4: F(1, 2)}))
 
 
-def trace():
-    return TRACE
-
-
-# (checker, state, beta, budget, mode, shift power, passes)
+# (checker, state, beta, budget, mode, shift power, passes[, random pass])
 REFERENCE_CASES = [
     ("spreadable", soft_product, BETA_HALF, (2, 1, 2), "float", 1, True),
     ("spreadable", soft_product, BETA_HALF, (3, 1, 1), "exact", 1, True),
@@ -548,23 +669,63 @@ REFERENCE_CASES = [
     ("gauge", off_isotropy, BETA_HALF, (2, 1, 2), "float", 1, False),
     ("gauge", off_isotropy, BETA_HALF, (2, 2, 1), "float", 1, False),
     ("gauge", off_isotropy, IRRATIONAL, (1, 1, 2), "float", 1, False),
+    # the first failing word has value 0: index maps move a zero value
+    ("stationary", block_off_isotropy, BETA_HALF, (2, 2, 1), "float", 1, False),
+    ("spreadable", block_off_isotropy, BETA_HALF, (2, 2, 1), "float", 1, False),
+    # a passing exhaustive pass, then trials the reference draws one by one
+    # (twisted words in float mode at 1/2 and 3/8)
+    ("gauge", mixture_base, BETA_HALF, (2, 1, 2), "float", 1, True, dict(trials=300, seed=4)),
+    ("gauge", quarter_product, canonicalize(3, 8), (2, 1, 3), "float", 1, True,
+     dict(trials=300, seed=5)),
+    ("gauge", quarter_product, canonicalize(3, 8), (2, 1, 3), "exact", 1, True,
+     dict(trials=200, seed=6)),
+    ("gauge", block_mixture, BETA_HALF, (3, 1, 1), "exact", 1, True, dict(trials=200)),
+    ("gauge", trace, IRRATIONAL, (1, 1, 3), "exact", 1, True, dict(trials=100, seed=8)),
+    ("stationary", cesaro_mixture, BETA_HALF, (2, 1, 2), "float", 1, True,
+     dict(trials=300, seed=9)),
+    ("stationary", quarter_product, canonicalize(3, 8), (2, 1, 3), "float", 1, True,
+     dict(trials=300, seed=10)),
+    ("stationary", block_mixture, BETA_HALF, (2, 2, 2), "exact", 3, True, dict(trials=300)),
+    ("stationary", block_mixture, BETA_HALF, (3, 1, 1), "float", 3, True,
+     dict(trials=200, seed=11)),
+    # no exhaustive pass: every trial is drawn, and some fail
+    ("gauge", quarter_product, canonicalize(3, 8), (2, 1, 3), "float", 1, True,
+     dict(trials=200, seed=12, exhaustive=False)),
+    ("stationary", soft_product, BETA_HALF, (2, 1, 2), "exact", 2, True,
+     dict(trials=200, seed=13, exhaustive=False)),
+    ("gauge", off_isotropy, BETA_HALF, (2, 1, 2), "float", 1, False,
+     dict(trials=50, seed=7, exhaustive=False)),
+    ("gauge", off_isotropy, IRRATIONAL, (1, 1, 2), "float", 1, False,
+     dict(trials=50, seed=7, exhaustive=False)),
+    ("stationary", block_mixture, BETA_HALF, (2, 1, 2), "exact", 1, False,
+     dict(trials=50, seed=5, exhaustive=False)),
+    ("stationary", block_mixture, BETA_HALF, (2, 1, 2), "float", 1, False,
+     dict(trials=50, seed=5, exhaustive=False)),
+    ("stationary", block_mixture, BETA_HALF, (2, 2, 2), "float", 2, False,
+     dict(trials=50, seed=3, exhaustive=False)),
 ]
+REFERENCE_CASES = [case if len(case) == 8 else (*case, {}) for case in REFERENCE_CASES]
 
 
 def reference_case_id(case):
-    checker, make_state, beta, budget, mode, power, _ = case
-    return f"{checker}^{power}-{make_state.__name__}-{beta}-{budget}-{mode}"
+    checker, make_state, beta, budget, mode, power, _, random_pass = case
+    opts = "".join(f"-{k}={v}" for k, v in random_pass.items())
+    return f"{checker}^{power}-{make_state.__name__}-{beta}-{budget}-{mode}{opts}"
 
 
 @pytest.mark.filterwarnings("ignore:moments supported outside")
-@pytest.mark.parametrize("checker, make_state, beta, budget, mode, power, passes",
+@pytest.mark.parametrize("checker, make_state, beta, budget, mode, power, passes, random_pass",
                          REFERENCE_CASES, ids=map(reference_case_id, REFERENCE_CASES))
 def test_reports_match_case_by_case_reference(checker, make_state, beta, budget, mode,
-                                              power, passes):
+                                              power, passes, random_pass):
     state = make_state()
-    expected = reference_report(checker, state, beta, budget, mode=mode, power=power)
+    expected = reference_report(checker, state, beta, budget, mode=mode, power=power,
+                                **random_pass)
     assert expected[0] is passes
-    assert checker_report(checker, state, beta, budget, mode=mode, power=power) == expected
+    if not passes and random_pass.get("exhaustive") is False:
+        assert expected[2] > 0  # the failure is found in the random pass
+    assert checker_report(checker, state, beta, budget, mode=mode, power=power,
+                          **random_pass) == expected
 
 
 def test_random_pass_window_limit():
