@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from nctorus import (
     BlockProductState,
+    Composite,
     MixtureState,
     MomentSequence,
     PartialShift,
@@ -21,7 +22,6 @@ from nctorus import (
     check_gauge_invariant,
     check_spreadable,
     check_stationary,
-    compose,
 )
 
 F = Fraction
@@ -30,7 +30,7 @@ beta = canonicalize(1, 2)
 # the partial shift theta_0 skips index 0's slot; tau shifts everything
 theta0, tau = PartialShift(0), Shift(1)
 print("theta_0 on -3..3:", [theta0(k) for k in range(-3, 4)])
-print("tau o theta_-1 on -3..3:", [compose(tau, PartialShift(-1))(k) for k in range(-3, 4)])
+print("tau o theta_-1 on -3..3:", [Composite((tau, PartialShift(-1)))(k) for k in range(-3, 4)])
 
 soft = ProductState(MomentSequence({0: 1, 2: F(1, 2)}))
 print("\n== product states are spreadable ==")

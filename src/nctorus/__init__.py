@@ -39,9 +39,9 @@ _EXPORTS = {
         "evaluate", "evaluate_word", "load_state", "state_from_json", "validate_state",
     ),
     "symmetry": (
-        "CheckReport", "Composite", "Counterexample", "IDENTITY", "IncreasingMap",
-        "PartialShift", "Shift", "TableMap", "check_gauge_invariant", "check_spreadable",
-        "check_stationary", "compose", "random_increasing_map",
+        "CheckReport", "Composite", "Counterexample", "IDENTITY", "PartialShift",
+        "Shift", "TableMap", "check_gauge_invariant", "check_spreadable",
+        "check_stationary", "random_increasing_map",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -426,8 +426,6 @@ class PhaseCoefficient:
     @classmethod
     def symbolic_unit(cls, m: int) -> PhaseCoefficient:
         """e^(2*pi*i*m*beta) for symbolic beta."""
-        if m == 0:
-            return PC_ONE
         return cls._make({(_F0, m): _F1})
 
     def is_zero(self) -> bool:

@@ -23,20 +23,8 @@ from .scalars import PhaseCoefficient
 from .states import EXACT, StateSpec, scalar_field, validate_state
 
 
-class IncreasingMap:
-    """A strictly increasing map from the integers to the integers."""
-
-    __slots__ = ()
-
-    def __call__(self, k: int) -> int:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Shift(IncreasingMap):
+class Shift:
     """k -> k + amount."""
 
     amount: int = 1
@@ -45,15 +33,13 @@ class Shift(IncreasingMap):
         return k + self.amount
 
     def describe(self) -> str:
-        if self.amount == 0:
-            return "id"
         if self.amount == 1:
             return "tau"
         return f"tau^{self.amount}"
 
 
 @dataclass(frozen=True)
-class PartialShift(IncreasingMap):
+class PartialShift:
     """Right-hand-side partial shift: k below the pivot stays, the rest bumps."""
 
     pivot: int = 0
@@ -66,10 +52,10 @@ class PartialShift(IncreasingMap):
 
 
 @dataclass(frozen=True)
-class Composite(IncreasingMap):
-    """Composition, rightmost map applied first."""
+class Composite:
+    """Composition, rightmost map applied first; no parts is the identity."""
 
-    parts: tuple[IncreasingMap, ...]
+    parts: tuple
 
     def __call__(self, k: int) -> int:
         for part in reversed(self.parts):
@@ -82,11 +68,11 @@ class Composite(IncreasingMap):
         return " o ".join(p.describe() for p in self.parts)
 
 
-IDENTITY = Shift(0)
+IDENTITY = Composite(())
 
 
 @dataclass(frozen=True)
-class TableMap(IncreasingMap):
+class TableMap:
     """Explicit strictly increasing values on a window, shifted identity outside."""
 
     lo: int
@@ -112,14 +98,6 @@ class TableMap(IncreasingMap):
         return f"table[{self.lo}..{hi}]->({vals})"
 
 
-def compose(*maps: IncreasingMap) -> IncreasingMap:
-    if not maps:
-        return IDENTITY
-    if len(maps) == 1:
-        return maps[0]
-    return Composite(tuple(maps))
-
-
 def random_increasing_map(lo: int, hi: int, rng: random.Random) -> TableMap:
     """A random strictly increasing table on [lo, hi]; gaps are allowed.
 
@@ -136,14 +114,14 @@ def random_increasing_map(lo: int, hi: int, rng: random.Random) -> TableMap:
     return TableMap(lo, tuple(values))
 
 
-def spreading_map_grammar() -> list[IncreasingMap]:
+def spreading_map_grammar() -> list:
     """Identity plus all compositions of <= 2 generator maps: 57 maps.
 
     The generators are the partial shifts with |pivot| <= 2 together with
     the shift and its inverse.
     """
     gens = [PartialShift(l) for l in range(-2, 3)] + [Shift(1), Shift(-1)]
-    return [IDENTITY, *gens, *(compose(g, h) for g in gens for h in gens)]
+    return [IDENTITY, *gens, *(Composite((g, h)) for g in gens for h in gens)]
 
 
 def iter_normal_words(max_factors: int, max_index: int,
@@ -249,8 +227,6 @@ def _series(base: int, top: int) -> int:
     For base >= 2 the terms past base**64 are left out: the sum is then far
     above the limit anyway.
     """
-    if top < 0:
-        return 0
     if base < 2:
         return 1 + base * top
     top = min(top, 64)
@@ -311,17 +287,17 @@ class _ValueTable(dict):
         return v
 
 
-def _check(name, state, beta, actions_note, actions, classes, draw, act, label, *,
+def _check(name, state, beta, actions_note, actions, images, draw, move, label, *,
            trials, seed, max_factors, max_index, max_exponent, exhaustive,
            mode) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
-    actions is a sized sequence; act(action) gives a move on normal-form
-    words: move(word) is (angle, mapped word), and alpha sends the word to
-    e(angle) times the mapped word.  classes(word, zero) lists, in
-    increasing order, the first action index of each class of actions that
-    give the word the same image, where zero tells whether the word's value
-    is zero; a family whose moves only turn the word lists no class for a
+    actions is a sized sequence; move(action, word) is (angle, mapped word)
+    for a normal-form word, and alpha sends the word to e(angle) times the
+    mapped word.  images(word, zero) yields (k, angle, mapped) for the first
+    action index k of each class of actions that give the word the same
+    image, in increasing k, where zero tells whether the word's value is
+    zero; a family whose moves only turn the word yields no image for a
     zero value, since every turn of zero is zero.  Each word is
     normal-ordered once and the actions move its normal form, which is
     sound because index maps increase strictly (no new inversions) and
@@ -345,8 +321,9 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
     (0, nf) or (twist, nf) verdict), so no such trial can fail.
     State values come from one states.Values for the whole check, which
     starts afresh between two top-level words once it holds
-    MAX_CACHED_VALUES entries; every other memo, here and in the moves, is
-    a _ValueTable: verdicts, rotations by angle and moves by action index.
+    MAX_CACHED_VALUES entries; every other memo, here and in the families'
+    images, is a _ValueTable: verdicts, rotations by angle, restrictions by
+    support and gauge angles.
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
@@ -360,7 +337,6 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
     )
     memo = states.Values(algebra, field)
     rotations = _ValueTable(lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
-    moves = _ValueTable(lambda k: act(actions[k]))
 
     def word_value(twist, word):
         nonlocal memo
@@ -371,8 +347,7 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
             v = v * field.coefficient(algebra.twist_phase(twist))
         return v
 
-    def image(twist, nf, base, move):
-        angle, mapped = move(nf)
+    def image(twist, nf, base, angle, mapped):
         after = base if mapped == nf else word_value(twist, mapped)
         if angle and not field.is_zero(after):
             after = after * rotations[angle]
@@ -381,8 +356,8 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
     def first_failure(key):
         twist, nf = key
         base = word_value(twist, nf)
-        for k in classes(nf, field.is_zero(base)):
-            if not field.equal(image(twist, nf, base, moves[k]), base):
+        for k, angle, mapped in images(nf, field.is_zero(base)):
+            if not field.equal(image(twist, nf, base, angle, mapped), base):
                 return k
         return None
 
@@ -401,38 +376,42 @@ def _check(name, state, beta, actions_note, actions, classes, draw, act, label, 
                 continue
             base = word_value(twist, nf)
             return failed(cases + k + 1, 0, factors, actions[k], base,
-                          image(twist, nf, base, moves[k]))
+                          image(twist, nf, base, *move(actions[k], nf)))
     for t in range(0 if exhaustive and draw is None else trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)
         action = actions[rng.randrange(len(actions))] if draw is None else draw(rng, factors)
         twist, nf = normal_form(factors)
         base = word_value(twist, nf)
-        after = image(twist, nf, base, act(action))
+        after = image(twist, nf, base, *move(action, nf))
         if not field.equal(after, base):
             return failed(cases, t + 1, factors, action, base, after)
     return CheckReport(name, state.describe(), True, cases, trials, None, budget)
 
 
-def _index_map_move(h):
-    """h applied to each index of a word, through a table of its values."""
-    table = _ValueTable(h)
-    return lambda word: (0, tuple((table[i], e) for i, e in word))
+def _index_map_move(h, word):
+    """h applied to each index of a word."""
+    return 0, tuple((h(i), e) for i, e in word)
 
 
-def _index_map_classes(maps):
-    """classes(word, zero) for index maps: the first index of each distinct
-    restriction of the maps to the word's support, once per support.  A map
-    can send a word of value zero to one of another value, so zero is not
-    used."""
+def _index_map_images(maps):
+    """images(word, zero) for index maps: the first index of each distinct
+    restriction of the maps to the word's support, with the restriction,
+    found once per support.  A map can send a word of value zero to one of
+    another value, so zero is not used."""
     def firsts(support):
         first = {}
         for k, h in enumerate(maps):
             first.setdefault(tuple(map(h, support)), k)
-        return tuple(first.values())
+        return first
 
     table = _ValueTable(firsts)
-    return lambda word, zero: table[tuple(i for i, _ in word)]
+
+    def images(word, zero):
+        exponents = [e for _, e in word]
+        return [(k, 0, tuple(zip(values, exponents)))
+                for values, k in table[tuple(i for i, _ in word)].items()]
+    return images
 
 
 _SPREADING_MAPS = tuple(spreading_map_grammar())
@@ -466,7 +445,7 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
 
     return _check(
         "spreadable", state, beta, "maps: <=2 generators with |pivot|<=2",
-        _SPREADING_MAPS, _index_map_classes(_SPREADING_MAPS), draw, _index_map_move,
+        _SPREADING_MAPS, _index_map_images(_SPREADING_MAPS), draw, _index_map_move,
         lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
@@ -479,10 +458,10 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
                      max_exponent: int = 2, exhaustive: bool = True,
                      mode: str = "exact") -> CheckReport:
     """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
-    shift = Shift(power)
+    shifts = [Shift(power)]
     return _check(
-        "stationary", state, beta, f"shift power: {power}", [shift],
-        lambda word, zero: range(1), None, _index_map_move,
+        "stationary", state, beta, f"shift power: {power}", shifts,
+        _index_map_images(shifts), None, _index_map_move,
         lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
@@ -514,13 +493,18 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
         angle_note = f"angles j/{count} sampling the whole circle"
     angles = _ValueTable(lambda r: Fraction(r, count))
 
-    def act(j):
-        return lambda word: (angles[j * word_degree(word) % count], word)
+    def images(word, zero):
+        if zero:
+            return ()
+        d = word_degree(word)
+        classes = count // gcd(d, count)
+        return ((j, angles[j * d % count], word) for j in range(classes))
+
+    def move(j, word):
+        return angles[j * word_degree(word) % count], word
 
     return _check(
-        "gauge-invariant", state, beta, angle_note, range(count),
-        lambda word, zero: () if zero else range(count // gcd(word_degree(word), count)),
-        None, act,
+        "gauge-invariant", state, beta, angle_note, range(count), images, None, move,
         lambda j: f"gauge angle {Fraction(j, count)}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
         max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,

@@ -123,6 +123,11 @@ def test_generator_table_matches_pointwise():
         assert table[d] == isotropy(canonicalize(1, d)).generator
 
 
+def test_generator_table_rejects_empty_range():
+    with pytest.raises(InputError, match="limit must be >= 1"):
+        isotropy_generator_table(0)
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(InputError):
         factorize(0)

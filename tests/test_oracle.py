@@ -238,6 +238,10 @@ class TestN0:
         for d in range(1, 3001):
             assert table[d] == brute_n0(d)
 
+    def test_table_rejects_empty_range(self):
+        with pytest.raises(InputError, match="limit must be >= 1"):
+            n0_table(0)
+
 
 class TestMatrixRep:
     @pytest.mark.parametrize("den", [2, 3, 5, 7])

@@ -28,7 +28,6 @@ from nctorus import (
     check_gauge_invariant,
     check_spreadable,
     check_stationary,
-    compose,
     evaluate,
     isotropy,
     random_increasing_map,
@@ -43,6 +42,7 @@ from nctorus.symmetry import (
     MAX_EXHAUSTIVE_CASES,
     MAX_TRIALS,
     _check_budget,
+    _index_map_images,
     _index_map_move,
     _series,
     iter_normal_words,
@@ -79,7 +79,7 @@ class TestMaps:
         assert theta0(5) == 6
 
     def test_shift_inverse(self):
-        h = compose(Shift(1), Shift(-1))
+        h = Composite((Shift(1), Shift(-1)))
         for k in range(-5, 6):
             assert h(k) == k
 
@@ -133,7 +133,7 @@ class TestMaps:
         g = PartialShift(1)
         h = Shift(2)
         x = a.word([(-1, 2), (0, 1), (3, -2)])
-        lhs = apply_index_map(x, compose(h, g))
+        lhs = apply_index_map(x, Composite((h, g)))
         rhs = apply_index_map(apply_index_map(x, g), h)
         assert lhs == rhs
 
@@ -417,17 +417,29 @@ def test_normal_form_commutes_with_increasing_maps():
             assert mapped == (twist, tuple((h(i), e) for i, e in nf)), (factors, h)
 
 
-def test_index_map_move_evaluates_used_indices_once():
+def test_index_map_move_evaluates_only_used_indices():
     calls = []
 
     def h(k):
         calls.append(k)
         return 2 * k
 
-    move = _index_map_move(h)
-    assert move(((-10**9, 1), (3, -2))) == (0, ((-2 * 10**9, 1), (6, -2)))
-    assert move(((3, 1), (10**9, 2))) == (0, ((6, 1), (2 * 10**9, 2)))
-    assert calls == [-10**9, 3, 10**9]
+    assert _index_map_move(h, ((-10**9, 1), (3, -2))) == (0, ((-2 * 10**9, 1), (6, -2)))
+    assert _index_map_move(h, ((3, 1), (10**9, 2))) == (0, ((6, 1), (2 * 10**9, 2)))
+    assert calls == [-10**9, 3, 3, 10**9]
+
+
+@pytest.mark.parametrize("maps", [spreading_map_grammar(), [Shift(-3)], [Shift(1)], [Shift(3)]],
+                         ids=["grammar", "tau^-3", "tau", "tau^3"])
+def test_index_map_images_match_every_move(maps):
+    # slow-path reference: move by every map, keep the first of each image
+    images = _index_map_images(maps)
+    for nf in {nf for _, _, nf in iter_normal_words(3, 2, 2)}:
+        first = {}
+        for k, h in enumerate(maps):
+            first.setdefault(_index_map_move(h, nf), k)
+        expected = [(k, angle, mapped) for (angle, mapped), k in first.items()]
+        assert images(nf, False) == images(nf, True) == expected, nf
 
 
 def counted_values(monkeypatch, kind):
@@ -499,17 +511,18 @@ def test_prefix_normal_forms_match_normal_form(budget):
 
 def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
     calls = []
-    index_map_move = symmetry._index_map_move
+    index_map_images = symmetry._index_map_images
 
-    def counted(h):
-        move = index_map_move(h)
+    def counted(maps):
+        images = index_map_images(maps)
 
-        def counted_move(word):
-            calls.append(word)
-            return move(word)
-        return counted_move
+        def counted_images(word, zero):
+            found = images(word, zero)
+            calls.extend(word for _ in found)
+            return found
+        return counted_images
 
-    monkeypatch.setattr(symmetry, "_index_map_move", counted)
+    monkeypatch.setattr(symmetry, "_index_map_images", counted)
     report = check_spreadable(soft_product(), BETA_HALF, trials=0)
     assert report.passed
     assert report.exhaustive_cases == 8421 * 57
@@ -793,6 +806,6 @@ def test_random_pass_steps_limit(monkeypatch):
 
 def test_witness_action_labels():
     # the spreadable witness's action line
-    assert compose(PartialShift(0), Shift(1)).describe() == "theta_0 o tau"
-    assert compose().describe() == "id"
+    assert Composite((PartialShift(0), Shift(1))).describe() == "theta_0 o tau"
+    assert Composite(()).describe() == "id"
     assert Shift(1).describe() == "tau"
