@@ -8,11 +8,11 @@ word, and the engine computes that phase exactly as an integer twist exponent.
 from fractions import Fraction
 
 from nctorus import (
+    MatrixRep,
     TorusAlgebra,
     brute_normal_form,
     canonicalize,
     evaluate,
-    matrix_rep,
     matrix_trace_eval,
     normal_form,
     parse,
@@ -44,7 +44,7 @@ print("w * adj(w) =", w * w.adjoint())
 # the finite clock-and-shift model realizes the same relations numerically;
 # inside its exponent window the normalized matrix trace matches the
 # canonical trace
-rep = matrix_rep(1, 5, 2)
+rep = MatrixRep(canonicalize(1, 5))
 commutator = [(1, 1), (2, 1), (1, -1), (2, -1)]
 a5 = TorusAlgebra(canonicalize(1, 5))
 numeric = matrix_trace_eval(commutator, rep)

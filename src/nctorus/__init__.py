@@ -29,8 +29,8 @@ _EXPORTS = {
     "oracle": (
         "MatrixRep", "PsdVerdict", "brute_cesaro_word", "brute_n0", "brute_normal_form",
         "brute_phase_is_zero", "brute_phase_reduce", "brute_phase_to_qqi", "gram_psd",
-        "hermitian_psd_exact", "hermitian_psd_float", "matrix_rep", "matrix_trace_eval",
-        "n0_table", "toeplitz_psd",
+        "hermitian_psd_exact", "hermitian_psd_float", "matrix_trace_eval", "n0_table",
+        "toeplitz_psd",
     ),
     "scalars": ("PhaseCoefficient", "QQi"),
     "states": (

@@ -84,15 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = osubs.add_parser("trace", help="matrix model trace vs canonical trace")
     _add_common(p)
-    p.add_argument("--gens", type=int, default=4,
-                   help="number of generators in the matrix model")
     p.add_argument("expr")
     p.set_defaults(func=_cmd_oracle_trace)
 
     p = osubs.add_parser("psd", help="moment or Gram positivity check")
     _add_common(p, state=True)
-    p.add_argument("--order", type=int, default=4,
-                   help="moment matrix order (without --words)")
+    p.add_argument("--order", type=int,
+                   help="moment matrix order, 4 by default (without --words)")
     p.add_argument("--words", nargs="*", default=None,
                    help="expressions for a Gram matrix check")
     p.set_defaults(func=_cmd_oracle_psd)
@@ -165,6 +163,8 @@ def _print_value(label: str, value) -> None:
 def _cmd_check(args) -> int:
     from .symmetry import check_gauge_invariant, check_spreadable, check_stationary
 
+    if args.power != 1 and args.property != "stationary":
+        raise InputError(f"--power applies to the stationary check, not to {args.property}")
     beta, state = _load(args)
     common = dict(
         trials=args.trials,
@@ -233,8 +233,8 @@ def _cmd_oracle_trace(args) -> int:
     beta = parse_beta(args.alpha)
     MatrixRep.check(beta)
     [x] = _parse(beta, args.expr)
-    MatrixRep.check(beta, args.gens, x.words())
-    rep = MatrixRep(beta, args.gens)
+    MatrixRep.check(beta, x.words())
+    rep = MatrixRep(beta)
     numeric = 0j
     for word, coeff in x.terms():
         numeric += coeff.to_complex() * matrix_trace_eval(word, rep)
@@ -251,16 +251,19 @@ def _cmd_oracle_psd(args) -> int:
     from .oracle import gram_psd, toeplitz_psd
     from .states import ProductState
 
+    if args.words and args.order is not None:
+        raise InputError("--order sets the moment matrix and is not used with --words")
     beta, state = _load(args)
-    if args.words is not None and len(args.words) > 0:
+    if args.words:
         elements = _parse(beta, *args.words)
         verdict = gram_psd(state, elements, mode=args.mode)
         print(f"gram matrix ({len(elements)} words): {verdict.describe()}")
     else:
         if not isinstance(state, ProductState):
             raise InputError("the moment matrix check needs a product state")
-        verdict = toeplitz_psd(state.moments, args.order)
-        print(f"moment matrix (order {args.order}): {verdict.describe()}")
+        order = 4 if args.order is None else args.order
+        verdict = toeplitz_psd(state.moments, order)
+        print(f"moment matrix (order {order}): {verdict.describe()}")
     if not verdict.is_psd and verdict.witness is not None:
         witness = ", ".join(str(w) for w in verdict.witness)
         print(f"witness: [{witness}]")

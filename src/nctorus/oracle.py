@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import lcm, pi
 from typing import TYPE_CHECKING
 
-from .algebra import Element, TorusAlgebra, Word, word_translate
+from .algebra import MAX_PRODUCT_PAIRS, Element, TorusAlgebra, Word, word_translate
 from .deformation import MAX_LEVEL, DeformationParameter, InputError, factorize
 from .scalars import QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi
 from .states import (
@@ -290,47 +290,41 @@ MATRIX_TOLERANCE = 1e-12  # verify's bound on unitarity and relation errors
 
 
 class MatrixRep:
-    """Clock-and-shift model of finitely many generators at rational beta.
+    """Clock-and-shift model of the generators u_1, u_2, ... at rational beta.
 
-    Generator j of m acts on the m-fold tensor power of C^D as
-    clock x ... x clock x step x 1 x ... x 1 (j-1 clocks), where the clock is
+    Generator j acts on the tensor power of C^D as
+    clock x ... x clock x step x 1 x 1 x ... (j-1 clocks), where the clock is
     diag(1, lam, ..., lam^(D-1)) with lam = e^(2*pi*i*N/D) and the step sends
-    e_k to e_{k-1 mod D}.  Each relation u_i u_j = lam u_j u_i (i < j) and
-    unitarity are verified factor-by-factor at construction to 1e-12; by
-    multiplicativity of the Kronecker product this certifies the full
-    D^m-dimensional matrices entrywise, which are only materialized on
-    demand.
+    e_k to e_{k-1 mod D}; every slot above j holds the identity, so one model
+    serves every word of positive indices.  Each relation u_i u_j = lam u_j u_i
+    (i < j) and unitarity are verified factor-by-factor at construction to
+    1e-12; by multiplicativity of the Kronecker product this certifies the
+    dense matrices on any number of slots entrywise, which are only
+    materialized on demand.
     """
 
-    def __init__(self, beta: DeformationParameter, generators: int):
-        self.check(beta, generators)
+    def __init__(self, beta: DeformationParameter):
+        self.check(beta)
         self.beta = beta
         self.modulus = beta.denominator
-        self.generators = generators
         self.verify()
 
     @staticmethod
-    def check(beta: DeformationParameter, generators: int | None = None,
-              words=()) -> None:
+    def check(beta: DeformationParameter, words=()) -> None:
         """Refuse, in this order and before anything is built: irrational beta;
-        given m generators, D > MAX_MATRIX_MODULUS or m < 1; then each word of
-        (index, exponent) factors with an index outside 1..m, a total exponent
-        |a| >= D at one index, or a slot walk above MAX_MATRIX_WORK."""
+        D > MAX_MATRIX_MODULUS; then each word of (index, exponent) factors with
+        an index below 1, a total exponent |a| >= D at one index, or a slot walk
+        above MAX_MATRIX_WORK."""
         if not beta.is_rational:
             raise InputError("the matrix model needs rational beta")
-        if generators is None:
-            return
         d = beta.denominator
         if d > MAX_MATRIX_MODULUS:
             raise InputError(f"the matrix model needs a denominator <= {MAX_MATRIX_MODULUS}")
-        if generators < 1:
-            raise InputError("need at least one generator")
         for factors in words:
             totals: dict[int, int] = {}
             for i, e in factors:
-                if not 1 <= i <= generators:
-                    raise InputError(
-                        f"index {i} outside 1..{generators}; translate the word first")
+                if i < 1:
+                    raise InputError(f"index {i} below 1; translate the word first")
                 totals[i] = totals.get(i, 0) + e
             for i, a in totals.items():
                 if abs(a) >= d:
@@ -361,19 +355,20 @@ class MatrixRep:
         eye = np.eye(d, dtype=complex)
         return np.roll(eye, -exponent, axis=0) if slot == gen else eye
 
-    def generator_matrix(self, gen: int) -> np.ndarray:
-        """Dense D^m x D^m matrix of one generator (small sizes only)."""
+    def generator_matrix(self, gen: int, slots: int) -> np.ndarray:
+        """Dense D^slots x D^slots matrix of u_gen on the first slots tensor
+        slots (small sizes only)."""
         import numpy as np
 
-        if not 1 <= gen <= self.generators:
-            raise InputError("generator must lie in 1..m")
-        size = self.modulus ** self.generators
+        if not 1 <= gen <= slots:
+            raise InputError("generator must lie in 1..slots")
+        size = self.modulus ** slots
         if size > 4096:
             raise InputError(
                 f"dense matrix would be {size}x{size}; use the factored form"
             )
         out = np.eye(1, dtype=complex)
-        for slot in range(1, self.generators + 1):
+        for slot in range(1, slots + 1):
             out = np.kron(out, self.slot_factor(gen, slot))
         return out
 
@@ -391,14 +386,7 @@ class MatrixRep:
             raise AssertionError(f"clock-step relation fails by {err}")
 
     def __repr__(self) -> str:
-        return f"MatrixRep(beta={self.beta}, generators={self.generators})"
-
-
-def matrix_rep(numerator: int, denominator: int, generators: int) -> MatrixRep:
-    """The model at beta = numerator/denominator with the given generator count."""
-    from .deformation import canonicalize
-
-    return MatrixRep(canonicalize(numerator, denominator), generators)
+        return f"MatrixRep(beta={self.beta})"
 
 
 def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
@@ -411,7 +399,7 @@ def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
     """
     import numpy as np
 
-    MatrixRep.check(rep.beta, rep.generators, [factors])
+    MatrixRep.check(rep.beta, [factors])
     d = rep.modulus
     value = 1.0 + 0j
     # a slot above every index holds the identity and contributes tr(I)/D = 1
@@ -564,11 +552,17 @@ def gram_psd(state: StateSpec, elements: list[Element], *, mode: str = "exact") 
     The exact path needs every entry to be a Gaussian rational; otherwise
     (or on request) the floating eigensolve runs, which is also the path
     that exhibits non-states built from inadmissible moments.  Families
-    larger than the largest moment matrix, MAX_MOMENT_ORDER + 1, are refused.
+    larger than the largest moment matrix, MAX_MOMENT_ORDER + 1, are refused,
+    and so are families of T coefficient terms in all, whose T**2 entry term
+    pairs exceed the bound on one product, MAX_PRODUCT_PAIRS.
     """
     if len(elements) > MAX_MOMENT_ORDER + 1:
         raise InputError(f"a Gram family of {len(elements)} elements exceeds the "
                          f"limit {MAX_MOMENT_ORDER + 1}")
+    terms = sum(x._coefficient_terms() for x in elements)
+    if terms * terms > MAX_PRODUCT_PAIRS:
+        raise InputError(f"a Gram family of {terms} coefficient terms exceeds "
+                         f"{MAX_PRODUCT_PAIRS} term pairs")
     exact = scalar_field(mode) is EXACT
     # one validation and one memo for every entry; an empty family has no algebra
     phi = evaluator(state, elements[0].algebra, mode=mode) if elements else None

@@ -416,12 +416,9 @@ class PhaseCoefficient:
         return cls._make(terms)
 
     @classmethod
-    def unit_angle(cls, q, r=1) -> PhaseCoefficient:
-        """r * e^(2*pi*i*q) with rational q."""
-        r = _as_fraction(r)
-        if not r:
-            return PC_ZERO
-        return cls._make({(_as_fraction(q) % 1, 0): r})
+    def unit_angle(cls, q) -> PhaseCoefficient:
+        """e^(2*pi*i*q) with rational q."""
+        return cls._make({(_as_fraction(q) % 1, 0): _F1})
 
     @classmethod
     def symbolic_unit(cls, m: int) -> PhaseCoefficient:

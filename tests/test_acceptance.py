@@ -17,6 +17,7 @@ from nctorus import (
     CesaroState,
     InadmissibleMomentsError,
     IRRATIONAL,
+    MatrixRep,
     MixtureState,
     MomentSequence,
     ProductState,
@@ -36,7 +37,6 @@ from nctorus import (
     gram_psd,
     isotropy,
     isotropy_generator_table,
-    matrix_rep,
     matrix_trace_eval,
     n0_table,
     normal_form,
@@ -113,7 +113,7 @@ def test_criterion_03_matrix_trace_agreement():
         den = rng.choice([2, 3, 5, 7])
         gens = rng.randint(1, 4)
         algebra = TorusAlgebra(canonicalize(1, den))
-        rep = matrix_rep(1, den, gens)
+        rep = MatrixRep(canonicalize(1, den))
         factors = [
             (rng.randint(1, gens), rng.randint(-(den - 1), den - 1))
             for _ in range(rng.randint(0, 8))

@@ -40,7 +40,7 @@ class TestParser:
     def test_scalar_literal(self):
         a = TorusAlgebra(BETA)
         x = parse("1/2 * e(1/3) * u[0]^2", a)
-        assert x == a.word([(0, 2)], PhaseCoefficient.unit_angle(F(1, 3), F(1, 2)))
+        assert x == a.word([(0, 2)], PhaseCoefficient.unit_angle(F(1, 3)) * F(1, 2))
 
     def test_adjoint(self):
         a = TorusAlgebra(BETA)
@@ -364,7 +364,7 @@ class TestCli:
         code, out, _ = run_cli(
             capsys,
             [
-                "oracle", "trace", "--alpha", "1/5", "--gens", "2",
+                "oracle", "trace", "--alpha", "1/5",
                 "u[1]*u[2]*u[1]^-1*u[2]^-1",
             ],
         )
@@ -374,7 +374,7 @@ class TestCli:
     def test_oracle_trace_window_error(self, capsys):
         code, _, err = run_cli(
             capsys,
-            ["oracle", "trace", "--alpha", "1/3", "--gens", "2", "u[1]^3"],
+            ["oracle", "trace", "--alpha", "1/3", "u[1]^3"],
         )
         assert code == 2
         assert "wraps mod D" in err
@@ -650,8 +650,7 @@ def test_refused_oracle_trace_loads_no_numpy():
         "for word in ('u[100000]', 'u[0]', 'u[1]^300'):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
-        "        code = nctorus.cli.main(['oracle', 'trace', '--alpha', '1/256',\n"
-        "                                 '--gens', '1000000', word])\n"
+        "        code = nctorus.cli.main(['oracle', 'trace', '--alpha', '1/256', word])\n"
         "    runs.append([code, out.getvalue(), 'numpy' in sys.modules])\n"
         "print(json.dumps(runs))\n"
     )
@@ -738,21 +737,12 @@ def test_float_overflow_exits_2_before_any_output(capsys, state_files, argv):
     assert "too large for a float" in err
 
 
-def test_oracle_trace_ignores_slots_above_the_word(capsys):
-    word = "u[1]*u[2]^2*u[1]^-1*u[2]^-1 + 1/3*u[2]"
-    few = run_cli(capsys, ["oracle", "trace", "--alpha", "1/5", "--gens", "2", word])
-    many = run_cli(capsys, ["oracle", "trace", "--alpha", "1/5", "--gens", "1000000", word])
-    assert many == few
-    assert few[0] == 0
-
-
 def test_oracle_trace_walk_is_bounded(capsys):
     # u[100000] at D = 256 would form 10**5 products of 256 x 256 matrices
     from nctorus.oracle import MAX_MATRIX_WORK
 
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, ["oracle", "trace", "--alpha", "1/256",
-                                      "--gens", "1000000", "u[100000]"])
+    code, out, err = run_cli(capsys, ["oracle", "trace", "--alpha", "1/256", "u[100000]"])
     assert (code, out) == (2, "")
     assert f"exceeds {MAX_MATRIX_WORK} multiply-adds" in err
     assert time.perf_counter() - start < 1
@@ -771,7 +761,7 @@ def test_product_term_pairs_are_bounded(capsys):
 def test_oracle_trace_denominator_is_bounded(capsys):
     from nctorus.oracle import MAX_MATRIX_MODULUS
 
-    argv = ["oracle", "trace", "--gens", "2", "--alpha"]
+    argv = ["oracle", "trace", "--alpha"]
     code, out, _ = run_cli(capsys, argv + [f"1/{MAX_MATRIX_MODULUS}", "u[1]*u[2]"])
     assert (code, out.splitlines()[0]) == (0, "matrix trace: 0")
     for den in (MAX_MATRIX_MODULUS + 1, 1000003):
@@ -822,6 +812,20 @@ def test_oracle_psd_gram_family_is_bounded(capsys, state_files, monkeypatch):
     assert f"a Gram family of {largest + 1} elements exceeds the limit {largest}" in err
 
 
+def test_gram_family_term_pairs_are_bounded(capsys, state_files):
+    # two sums of 128 one-term words on disjoint indices: each entry is one
+    # product of 128 by 128 terms, and the family makes 256**2 term pairs
+    from nctorus.algebra import MAX_PRODUCT_PAIRS
+
+    sums = ["+".join(f"u[{i}]" for i in range(k * 128, (k + 1) * 128)) for k in range(2)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["oracle", "psd", "--alpha", "1/2", "--state",
+                                      state_files["trace"], "--words", *sums])
+    assert (code, out) == (2, "")
+    assert f"a Gram family of 256 coefficient terms exceeds {MAX_PRODUCT_PAIRS}" in err
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("row", [[2, True, 0], [2, 0, False]], ids=["re", "im"])
 def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
@@ -843,8 +847,14 @@ def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
     # phi(adj(e(1/3)*u[0]^2)) = e(-1/3) * c_-2 is not a Gaussian rational
     (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--words", "e(1/3)*u[0]^2", "1"],
      "Gram entries leave the Gaussian rationals"),
-    (["oracle", "trace", "--alpha", "1/5", "--gens", "0", "u[1]"],
-     "need at least one generator"),
+    (["oracle", "trace", "--alpha", "1/5", "u[0]"],
+     "index 0 below 1"),
+    (["check", "gauge", "--alpha", "1/2", "--state", "@trace", "--power", "7"],
+     "--power applies to the stationary check, not to gauge"),
+    (["check", "spreadable", "--alpha", "1/2", "--state", "@trace", "--power", "2"],
+     "--power applies to the stationary check, not to spreadable"),
+    (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--order", "63", "--words", "u[0]", "1"],
+     "--order sets the moment matrix and is not used with --words"),
     (["eval", "--alpha", "1/2", "--mode", "float", "--state", "@null_moment", "u[0]^2"],
      "bad numeric value None"),
     (["oracle", "psd", "--alpha", "1/2", "--state", "@trace"],
@@ -982,8 +992,8 @@ def printable_elements(draw, algebra):
     x = algebra.zero()
     q = draw(st.integers(1, 60))
     for _ in range(draw(st.integers(1, 4))):
-        coeff = PhaseCoefficient.unit_angle(F(draw(st.integers(0, q - 1)), q),
-                                            draw(st.fractions(-4, 4, max_denominator=6)))
+        coeff = (PhaseCoefficient.unit_angle(F(draw(st.integers(0, q - 1)), q))
+                 * draw(st.fractions(-4, 4, max_denominator=6)))
         if not algebra.beta.is_rational:
             coeff = coeff * algebra.twist_phase(draw(st.integers(-5, 5)))
         factors = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), max_size=3))

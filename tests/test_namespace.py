@@ -16,8 +16,7 @@ EXPORTS = {
     "expr": "ParseError format_complex format_element parse",
     "oracle": """MatrixRep PsdVerdict brute_cesaro_word brute_n0 brute_normal_form
         brute_phase_is_zero brute_phase_reduce brute_phase_to_qqi gram_psd
-        hermitian_psd_exact hermitian_psd_float matrix_rep matrix_trace_eval n0_table
-        toeplitz_psd""",
+        hermitian_psd_exact hermitian_psd_float matrix_trace_eval n0_table toeplitz_psd""",
     "scalars": "PhaseCoefficient QQi",
     "states": """BlockProductState CesaroState InadmissibleMomentsError MixtureState
         MomentSequence ProductState StateSpec TRACE Trace clustering_gap evaluate
@@ -31,7 +30,7 @@ PUBLIC = sorted([*EXPORTS, *HOME])
 
 
 def test_public_names_are_frozen():
-    assert len(PUBLIC) == 72
+    assert len(PUBLIC) == 71
     assert sorted(nctorus.__all__) == PUBLIC
 
 

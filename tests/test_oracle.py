@@ -27,7 +27,6 @@ from nctorus import (
     evaluate_word,
     gram_psd,
     hermitian_psd_exact,
-    matrix_rep,
     matrix_trace_eval,
     n0_table,
     normal_form,
@@ -245,15 +244,14 @@ class TestN0:
 
 class TestMatrixRep:
     @pytest.mark.parametrize("den", [2, 3, 5, 7])
-    @pytest.mark.parametrize("gens", [1, 2, 3, 4])
-    def test_constructs_and_verifies(self, den, gens):
-        rep = MatrixRep(canonicalize(1, den), gens)
+    def test_constructs_and_verifies(self, den):
+        rep = MatrixRep(canonicalize(1, den))
         rep.verify()
 
     @pytest.mark.parametrize("den,gens", [(2, 2), (3, 2), (2, 3), (5, 2)])
     def test_dense_relations(self, den, gens):
-        rep = matrix_rep(1, den, gens)
-        mats = [rep.generator_matrix(j) for j in range(1, gens + 1)]
+        rep = MatrixRep(canonicalize(1, den))
+        mats = [rep.generator_matrix(j, gens) for j in range(1, gens + 1)]
         lam = rep.lam
         eye = np.eye(den**gens)
         for m in mats:
@@ -265,7 +263,7 @@ class TestMatrixRep:
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_dense_trace_matches_factored(self):
-        rep = matrix_rep(1, 3, 2)
+        rep = MatrixRep(canonicalize(1, 3))
         rng = random.Random(5)
         for _ in range(50):
             factors = [
@@ -273,7 +271,7 @@ class TestMatrixRep:
             ]
             dense = np.eye(9, dtype=complex)
             for i, e in factors:
-                m = rep.generator_matrix(i)
+                m = rep.generator_matrix(i, 2)
                 step = m if e >= 0 else m.conj().T
                 for _ in range(abs(e)):
                     dense = dense @ step
@@ -285,25 +283,34 @@ class TestMatrixRep:
                 continue
             assert abs(matrix_trace_eval(factors, rep) - expected) < 1e-9
 
+    def test_dense_matrix_is_refused_outside_its_slots_and_size(self):
+        rep = MatrixRep(canonicalize(1, 3))
+        assert repr(rep) == "MatrixRep(beta=1/3)"
+        for gen, slots in ((0, 2), (3, 2), (1, 0)):
+            with pytest.raises(InputError, match="generator must lie in 1..slots"):
+                rep.generator_matrix(gen, slots)
+        with pytest.raises(InputError, match="dense matrix would be 6561x6561"):
+            rep.generator_matrix(1, 8)
+
     def test_irrational_rejected(self):
         from nctorus import IRRATIONAL
 
         with pytest.raises(InputError):
-            MatrixRep(IRRATIONAL, 2)
+            MatrixRep(IRRATIONAL)
 
 
 class TestMatrixTrace:
     def test_empty_word(self):
-        rep = matrix_rep(1, 3, 2)
+        rep = MatrixRep(canonicalize(1, 3))
         assert abs(matrix_trace_eval([], rep) - 1) < 1e-12
 
     def test_single_generator_traceless(self):
-        rep = matrix_rep(1, 3, 2)
+        rep = MatrixRep(canonicalize(1, 3))
         assert abs(matrix_trace_eval([(1, 1)], rep)) < 1e-12
 
     def test_commutator_word(self):
         # u1 u2 u1^-1 u2^-1 = lam * 1 exactly (left-to-right products)
-        rep = matrix_rep(1, 5, 2)
+        rep = MatrixRep(canonicalize(1, 5))
         value = matrix_trace_eval([(1, 1), (2, 1), (1, -1), (2, -1)], rep)
         assert abs(value - rep.lam) < 1e-9
         a = TorusAlgebra(canonicalize(1, 5))
@@ -311,22 +318,22 @@ class TestMatrixTrace:
         assert abs(symbolic.to_complex() - value) < 1e-9
 
     def test_window_violation(self):
-        rep = matrix_rep(1, 3, 2)
+        rep = MatrixRep(canonicalize(1, 3))
         with pytest.raises(InputError):
             matrix_trace_eval([(1, 3)], rep)
         with pytest.raises(InputError):
             matrix_trace_eval([(1, 2), (2, 1), (1, 1)], rep)
 
     def test_index_out_of_range(self):
-        rep = matrix_rep(1, 3, 2)
-        with pytest.raises(InputError):
-            matrix_trace_eval([(3, 1)], rep)
+        rep = MatrixRep(canonicalize(1, 3))
+        with pytest.raises(InputError, match="index 0 below 1"):
+            matrix_trace_eval([(0, 1)], rep)
 
     def test_agreement_with_canonical_trace(self):
         rng = random.Random(99)
         for den in (2, 3, 5, 7):
             algebra = TorusAlgebra(canonicalize(1, den))
-            rep = matrix_rep(1, den, 4)
+            rep = MatrixRep(canonicalize(1, den))
             done = 0
             while done < 50:
                 factors = [

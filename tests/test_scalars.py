@@ -23,7 +23,7 @@ F = Fraction
 
 
 def pc_angle(q, r=1):
-    return PhaseCoefficient.unit_angle(F(q), F(r))
+    return PhaseCoefficient.unit_angle(F(q)) * F(r)
 
 
 class TestQQi:
@@ -319,6 +319,22 @@ def test_exact_scalars_take_only_exact_operands():
     assert (algebra.one() == 1.0) is False and (algebra.one() == "1") is False
     assert algebra.u(0) * 2 == algebra.u(0) + algebra.u(0) == algebra.u(0) * QQi(F(2))
     assert PC_ONE + F(1, 2) == F(3, 2) and PC_ONE * QQi(F(0), F(1)) == pc_angle(F(1, 4))
+
+
+def test_mixed_operand_arithmetic():
+    # reflected subtraction, truth value, and float operands handed back to
+    # Python, which then refuses them (or compares them unequal)
+    third = pc_angle(F(1, 3))
+    assert 3 - third == -third + 3 and 1 - QQi(F(1, 2), F(1)) == QQi(F(1, 2), F(-1))
+    assert bool(third) and not bool(third + pc_angle(F(2, 3)) + 1)
+    for op in (lambda: third - 0.5, lambda: 0.5 - third):
+        with pytest.raises(TypeError):
+            op()
+    assert (third == 0.5) is False
+    assert pc_angle(F(1, 4)).to_rational() is None and pc_angle(0, F(1, 2)).to_rational() == F(1, 2)
+    # a zero rational scale gives the zero coefficient, not a zero-weighted term
+    zero = PhaseCoefficient.unit_angle(F(1, 3)) * 0
+    assert zero.is_zero() and zero._terms == {}
 
 
 def test_gaussian_rational_prints_both_parts():

@@ -87,6 +87,10 @@ class TestMomentSequence:
         with pytest.raises(InputError, match="zeroth moment"):
             MomentSequence({0: 1 + 1e-8}, mode="float")
 
+    def test_equality_is_between_sequences(self):
+        assert MomentSequence({2: F(1, 2)}) == MomentSequence({-2: F(1, 2)})
+        assert (MomentSequence.lebesgue() == 1) is False
+
     @pytest.mark.parametrize("value", [complex(float("nan"), 0), complex(0, float("nan")),
                                        complex(float("inf"), float("nan"))])
     def test_nan_float_moment_rejected(self, value):

@@ -537,9 +537,9 @@ def test_gauge_check_builds_one_rotation_per_angle(monkeypatch):
     angles = []
     unit_angle = PhaseCoefficient.unit_angle.__func__
 
-    def counted(cls, q, r=1):
+    def counted(cls, q):
         angles.append(q)
-        return unit_angle(cls, q, r)
+        return unit_angle(cls, q)
 
     monkeypatch.setattr(PhaseCoefficient, "unit_angle", classmethod(counted))
     # irrational beta: the twists are symbolic units and not angles; the
