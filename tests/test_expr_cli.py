@@ -737,6 +737,35 @@ def test_float_overflow_exits_2_before_any_output(capsys, state_files, argv):
     assert "too large for a float" in err
 
 
+def test_oracle_trace_ignores_slots_above_the_word(capsys):
+    # u1 u2^2 u1^-1 u2^-2 + 1/3 u2 on 2 and on 3 dense slots: the slot above
+    # the word holds the identity and leaves the normalized trace unchanged
+    import numpy as np
+
+    from nctorus.oracle import MatrixRep
+
+    rep = MatrixRep(canonicalize(1, 5))
+    terms = [(1, [(1, 1), (2, 2), (1, -1), (2, -2)]), (1 / 3, [(2, 1)])]
+    dense = []
+    for slots in (2, 3):
+        eye = np.eye(5**slots, dtype=complex)
+        total = 0j
+        for coeff, factors in terms:
+            m = eye
+            for i, e in factors:
+                g = rep.generator_matrix(i, slots)
+                m = m @ np.linalg.matrix_power(g if e > 0 else g.conj().T, abs(e))
+            total += coeff * np.trace(m) / 5**slots
+        dense.append(total)
+    code, out, _ = run_cli(capsys, ["oracle", "trace", "--alpha", "1/5",
+                                    "u[1]*u[2]^2*u[1]^-1*u[2]^-2 + 1/3*u[2]"])
+    assert code == 0
+    printed = complex(out.splitlines()[0].removeprefix("matrix trace: ").replace("i", "j"))
+    assert abs(dense[0] - rep.lam**2) < 1e-9
+    assert abs(dense[1] - dense[0]) < 1e-12
+    assert abs(printed - dense[0]) < 1e-9
+
+
 def test_oracle_trace_walk_is_bounded(capsys):
     # u[100000] at D = 256 would form 10**5 products of 256 x 256 matrices
     from nctorus.oracle import MAX_MATRIX_WORK
@@ -849,18 +878,18 @@ def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
      "Gram entries leave the Gaussian rationals"),
     (["oracle", "trace", "--alpha", "1/5", "u[0]"],
      "index 0 below 1"),
-    (["check", "gauge", "--alpha", "1/2", "--state", "@trace", "--power", "7"],
-     "--power applies to the stationary check, not to gauge"),
-    (["check", "spreadable", "--alpha", "1/2", "--state", "@trace", "--power", "2"],
-     "--power applies to the stationary check, not to spreadable"),
-    (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--order", "63", "--words", "u[0]", "1"],
-     "--order sets the moment matrix and is not used with --words"),
     (["eval", "--alpha", "1/2", "--mode", "float", "--state", "@null_moment", "u[0]^2"],
      "bad numeric value None"),
     (["oracle", "psd", "--alpha", "1/2", "--state", "@trace"],
      "the moment matrix check needs a product state"),
     (["eval", "--alpha", "1/2", "--state", "@empty_mixture", "1"],
      "a mixture needs at least one part"),
+    (["check", "gauge", "--alpha", "1/2", "--state", "@trace", "--power", "7"],
+     "--power applies to the stationary check, not to gauge"),
+    (["check", "spreadable", "--alpha", "1/2", "--state", "@trace", "--power", "2"],
+     "--power applies to the stationary check, not to spreadable"),
+    (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--order", "63", "--words", "u[0]", "1"],
+     "--order sets the moment matrix and is not used with --words"),
 ])
 def test_refusal_exits_2_before_any_output(capsys, state_files, argv, message):
     argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]

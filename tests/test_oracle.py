@@ -244,9 +244,18 @@ class TestN0:
 
 class TestMatrixRep:
     @pytest.mark.parametrize("den", [2, 3, 5, 7])
-    def test_constructs_and_verifies(self, den):
+    @pytest.mark.parametrize("gens", [1, 2, 3, 4])
+    def test_constructs_and_verifies(self, den, gens):
+        # one model serves the words on u_1..u_gens: each generator is
+        # traceless and each commutator u_i u_j u_i^-1 u_j^-1 traces to lam
         rep = MatrixRep(canonicalize(1, den))
         rep.verify()
+        for i in range(1, gens + 1):
+            assert abs(matrix_trace_eval([(i, 1)], rep)) < 1e-12
+            assert abs(matrix_trace_eval([(i, 1), (i, -1)], rep) - 1) < 1e-12
+            for j in range(i + 1, gens + 1):
+                value = matrix_trace_eval([(i, 1), (j, 1), (i, -1), (j, -1)], rep)
+                assert abs(value - rep.lam) < 1e-9
 
     @pytest.mark.parametrize("den,gens", [(2, 2), (3, 2), (2, 3), (5, 2)])
     def test_dense_relations(self, den, gens):
