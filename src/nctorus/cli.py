@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, state=True)
     p.add_argument("--order", type=int,
                    help="moment matrix order, 4 by default (without --words)")
-    p.add_argument("--words", nargs="*", default=None,
+    p.add_argument("--words", nargs="+", default=None,
                    help="expressions for a Gram matrix check")
     p.set_defaults(func=_cmd_oracle_psd)
 

@@ -115,17 +115,11 @@ def _dense_residue(vec: list[Fraction], order: int) -> list[Fraction]:
 
 
 def _dense_merge(pairs) -> dict[Fraction, Fraction]:
-    # e(q) = -e(q + 1/2) for q with a denominator of 2 mod 4
-    out: dict[Fraction, Fraction] = {}
-    for q, r in pairs:
-        if q.denominator % 4 == 2:
-            q, r = (q + Fraction(1, 2)) % 1, -r
-        acc = out.get(q, Fraction(0)) + r
-        if acc:
-            out[q] = acc
-        elif q in out:
-            del out[q]
-    return out
+    # e(q) = -e(q + 1/2) for q with a denominator of 2 mod 4.  The pairs are a
+    # residue modulo Phi_L, so for even L every exponent j is below
+    # phi(L) <= L/2 and no rewritten exponent j + L/2 meets another term.
+    return dict(((q + Fraction(1, 2)) % 1, -r) if q.denominator % 4 == 2 else (q, r)
+                for q, r in pairs)
 
 
 def _dense_vector(terms: dict[Fraction, Fraction], level: int) -> list[Fraction]:
@@ -143,8 +137,6 @@ def _dense_buckets(pc: PhaseCoefficient) -> dict[int, dict[Fraction, Fraction]]:
 
 
 def _dense_is_zero(terms: dict[Fraction, Fraction]) -> bool:
-    if not terms:
-        return True
     level = lcm(*(q.denominator for q in terms))
     return not any(_dense_residue(_dense_vector(terms, level), level))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
@@ -257,34 +258,12 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
         )
 
 
-# Entries each per-check table keeps; past this many, a table computes each
-# further value afresh on every lookup, so a check's memory stays bounded
-# however many actions or angles its family has.  The check's state values
-# (a states.Values shared by the whole check) start afresh between two
-# top-level words once they hold this many.  The CLI default budget meets
-# about 4,800 distinct normal forms among the words and their images, 1,181
-# among the words.
+# Entries each per-check table (an lru_cache made inside the check) keeps, so
+# a check's memory stays bounded however many actions or angles its family
+# has; the check's states.Values starts afresh between two top-level words
+# once it holds this many.  The CLI default budget meets about 4,800 distinct
+# normal forms among the words and their images.
 MAX_CACHED_VALUES = 2**16
-
-
-class _ValueTable(dict):
-    """The values of a function, each computed on first lookup.
-
-    A value is kept only while the table holds fewer than MAX_CACHED_VALUES
-    entries; past that, each further lookup computes its value afresh.
-    """
-
-    __slots__ = ("h",)
-
-    def __init__(self, h):
-        super().__init__()
-        self.h = h
-
-    def __missing__(self, i):
-        v = self.h(i)
-        if len(self) < MAX_CACHED_VALUES:
-            self[i] = v
-        return v
 
 
 def _check(name, state, beta, actions_note, actions, images, draw, move, label, *,
@@ -321,9 +300,10 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     (0, nf) or (twist, nf) verdict), so no such trial can fail.
     State values come from one states.Values for the whole check, which
     starts afresh between two top-level words once it holds
-    MAX_CACHED_VALUES entries; every other memo, here and in the families'
-    images, is a _ValueTable: verdicts, rotations by angle, restrictions by
-    support and gauge angles.
+    MAX_CACHED_VALUES entries, never inside one word's evaluation; every
+    other memo, here and in the families' images, is an lru_cache of that
+    many entries: verdicts, rotations by angle, restrictions by support and
+    gauge angles.
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
@@ -336,7 +316,8 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
     memo = states.Values(algebra, field)
-    rotations = _ValueTable(lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
+    rotations = lru_cache(MAX_CACHED_VALUES)(
+        lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
 
     def word_value(twist, word):
         nonlocal memo
@@ -350,11 +331,11 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     def image(twist, nf, base, angle, mapped):
         after = base if mapped == nf else word_value(twist, mapped)
         if angle and not field.is_zero(after):
-            after = after * rotations[angle]
+            after = after * rotations(angle)
         return after
 
-    def first_failure(key):
-        twist, nf = key
+    @lru_cache(MAX_CACHED_VALUES)
+    def first_failure(twist, nf):
         base = word_value(twist, nf)
         for k, angle, mapped in images(nf, field.is_zero(base)):
             if not field.equal(image(twist, nf, base, angle, mapped), base):
@@ -368,9 +349,8 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
 
     cases = 0
     if exhaustive:
-        verdicts = _ValueTable(first_failure)
         for factors, twist, nf in iter_normal_words(max_factors, max_index, max_exponent):
-            k = verdicts[0 if exact else twist, nf]
+            k = first_failure(0 if exact else twist, nf)
             if k is None:
                 cases += len(actions)
                 continue
@@ -399,18 +379,17 @@ def _index_map_images(maps):
     restriction of the maps to the word's support, with the restriction,
     found once per support.  A map can send a word of value zero to one of
     another value, so zero is not used."""
+    @lru_cache(MAX_CACHED_VALUES)
     def firsts(support):
         first = {}
         for k, h in enumerate(maps):
             first.setdefault(tuple(map(h, support)), k)
         return first
 
-    table = _ValueTable(firsts)
-
     def images(word, zero):
         exponents = [e for _, e in word]
         return [(k, 0, tuple(zip(values, exponents)))
-                for values, k in table[tuple(i for i, _ in word)].items()]
+                for values, k in firsts(tuple(i for i, _ in word)).items()]
     return images
 
 
@@ -457,7 +436,12 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
                      max_factors: int = 3, max_index: int = 2,
                      max_exponent: int = 2, exhaustive: bool = True,
                      mode: str = "exact") -> CheckReport:
-    """Compare phi(tau^power(x)) with phi(x) over the declared budget."""
+    """Compare phi(tau^power(x)) with phi(x) over the declared budget.
+
+    tau^0 is the identity, which every state passes, so power 0 is refused.
+    """
+    if power == 0:
+        raise InputError("shift power must be nonzero: tau^0 is the identity")
     shifts = [Shift(power)]
     return _check(
         "stationary", state, beta, f"shift power: {power}", shifts,
@@ -491,17 +475,17 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     else:
         count = 8
         angle_note = f"angles j/{count} sampling the whole circle"
-    angles = _ValueTable(lambda r: Fraction(r, count))
+    angles = lru_cache(MAX_CACHED_VALUES)(lambda r: Fraction(r, count))
 
     def images(word, zero):
         if zero:
             return ()
         d = word_degree(word)
         classes = count // gcd(d, count)
-        return ((j, angles[j * d % count], word) for j in range(classes))
+        return ((j, angles(j * d % count), word) for j in range(classes))
 
     def move(j, word):
-        return angles[j * word_degree(word) % count], word
+        return angles(j * word_degree(word) % count), word
 
     return _check(
         "gauge-invariant", state, beta, angle_note, range(count), images, None, move,

@@ -12,6 +12,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from nctorus import (IRRATIONAL, PhaseCoefficient, QQi, TorusAlgebra, canonicalize,
                      factorize, format_element, parse, scalars)
+from nctorus import oracle
 from nctorus.expr import format_word
 from nctorus.oracle import (brute_cyclotomic_polynomial, brute_phase_is_zero,
                             brute_phase_reduce, brute_phase_to_qqi)
@@ -94,6 +95,29 @@ def assert_matches_reference(pc):
 @settings(max_examples=150, deadline=None)
 def test_matches_dense_reference(pc):
     assert_matches_reference(pc)
+
+
+@given(phase_sums())
+@example(PhaseCoefficient([((F(1, 6), 0), F(1)), ((F(1, 3), 0), F(1)), ((F(1, 12), 1), F(2))]))
+@settings(max_examples=150, deadline=None)
+def test_dense_merge_keeps_one_term_per_pair(pc):
+    # the premise of the oracle's half-turn rewrite: the pairs are a residue
+    # modulo Phi_L, so no rewritten angle meets another term
+    merge, sizes = oracle._dense_merge, []
+
+    def counted(pairs):
+        pairs = list(pairs)
+        out = merge(pairs)
+        sizes.append((len(out), len(pairs)))
+        return out
+
+    oracle._dense_merge = counted
+    try:
+        brute_phase_reduce(pc)
+        brute_phase_to_qqi(pc)
+    finally:
+        oracle._dense_merge = merge
+    assert all(kept == taken for kept, taken in sizes)
 
 
 def test_matches_dense_reference_at_smooth_1155():

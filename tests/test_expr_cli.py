@@ -890,6 +890,13 @@ def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
      "--power applies to the stationary check, not to spreadable"),
     (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--order", "63", "--words", "u[0]", "1"],
      "--order sets the moment matrix and is not used with --words"),
+    # tau^0 is the identity: the non-stationary block mixture would pass
+    (["check", "stationary", "--alpha", "1/2", "--state", "@blockmix", "--power", "0"],
+     "shift power must be nonzero"),
+    (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--words"],
+     "argument --words: expected at least one argument"),
+    (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--order", "6", "--words"],
+     "argument --words: expected at least one argument"),
 ])
 def test_refusal_exits_2_before_any_output(capsys, state_files, argv, message):
     argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]

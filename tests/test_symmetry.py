@@ -181,6 +181,15 @@ class TestStationary:
         good = check_stationary(state, BETA_HALF, power=3, trials=50)
         assert good.passed
 
+    def test_power_zero_is_refused_before_any_work(self, monkeypatch):
+        # tau^0 is the identity, so even the non-stationary block state would pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check started")
+
+        monkeypatch.setattr(symmetry, "_check", refuse)
+        with pytest.raises(InputError, match="shift power must be nonzero"):
+            check_stationary(BlockProductState(1, mixture_base()), BETA_HALF, power=0)
+
     def test_spreadable_budget_implies_stationary(self):
         # tau is itself an increasing map, so a state passing the exhaustive
         # spreadability grammar passes the stationarity grammar
