@@ -234,6 +234,12 @@ def _series(base: int, top: int) -> int:
     return (base ** (top + 1) - 1) // (base - 1)
 
 
+def _word_count(max_factors: int, max_index: int, max_exponent: int) -> int:
+    """How many words iter_normal_words yields, exact for every budget whose
+    exhaustive pass _check_budget accepts."""
+    return _series((2 * max_index + 1) * 2 * max_exponent, max_factors)
+
+
 def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
     """Reject negative budgets, more than MAX_TRIALS trials, a random pass
     above MAX_RANDOM_STEPS and an exhaustive pass above MAX_EXHAUSTIVE_CASES.
@@ -250,8 +256,8 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
     if steps > MAX_RANDOM_STEPS:
         raise InputError(f"the random pass would take up to {steps} factor steps, more "
                          f"than {MAX_RANDOM_STEPS}; lower trials or max_factors")
-    singles = (2 * fields["max_index"] + 1) * 2 * fields["max_exponent"]
-    if exhaustive and _series(singles, fields["max_factors"]) * actions > MAX_EXHAUSTIVE_CASES:
+    words = _word_count(fields["max_factors"], fields["max_index"], fields["max_exponent"])
+    if exhaustive and words * actions > MAX_EXHAUSTIVE_CASES:
         raise InputError(
             f"the exhaustive pass would run more than {MAX_EXHAUSTIVE_CASES} cases; "
             "lower max_factors, max_index or max_exponent, or skip it"
@@ -262,8 +268,30 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
 # a check's memory stays bounded however many actions or angles its family
 # has; the check's states.Values starts afresh between two top-level words
 # once it holds this many.  The CLI default budget meets about 4,800 distinct
-# normal forms among the words and their images.
+# normal forms among the words and their images.  It also gates the
+# per-process table: only a budget of at most this many words has its
+# _first_forms table kept (the CLI default budget has 8,421 words).
 MAX_CACHED_VALUES = 2**16
+
+
+@lru_cache(maxsize=8)
+def _first_forms(max_factors: int, max_index: int, max_exponent: int,
+                 exact: bool) -> tuple[tuple[int, tuple[Word, int, Word]], ...]:
+    """The pairs (position, (factors, twist, nf)) of
+    enumerate(iter_normal_words(...)) that hold the first word of each
+    verdict key, in word order.  The key is nf in exact mode and (twist, nf)
+    in float mode.
+
+    The words do not depend on the state, so each budget's table is built
+    once per process and shared by every check; the 8 budgets and modes
+    used last keep theirs, and cache_info() reports the tables kept and
+    their hits.
+    """
+    first = {}
+    for position, entry in enumerate(iter_normal_words(max_factors, max_index, max_exponent)):
+        _, twist, nf = entry
+        first.setdefault(nf if exact else (twist, nf), (position, entry))
+    return tuple(first.values())
 
 
 def _check(name, state, beta, actions_note, actions, images, draw, move, label, *,
@@ -284,13 +312,18 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     Exhaustive pass: every factor word within the word budget against every
     action.  A word w is e(twist) times its normal form nf, so the pass
     computes one verdict per normal form (the index of the first failing
-    action, or None) and replays the words' order from the verdicts.  Every
-    member of a class has its class's image, so the verdict compares one
-    image per class, and the first failing class member listed is the first
-    failing action.  In exact mode e(twist) is a unit, so phi(alpha(w)) =
-    phi(w) exactly when phi(alpha(nf)) = phi(nf) and the verdict is keyed
-    by (0, nf); in float mode it is keyed by (twist, nf), so rounding sees
-    the same products as a case-by-case pass.  Randomized pass: trial t
+    action, or None).  Every member of a class has its class's image, so
+    the verdict compares one image per class, and the first failing class
+    member listed is the first failing action.  In exact mode e(twist) is a
+    unit, so phi(alpha(w)) = phi(w) exactly when phi(alpha(nf)) = phi(nf)
+    and the verdict is keyed by (0, nf); in float mode it is keyed by
+    (twist, nf), so rounding sees the same products as a case-by-case pass.
+    A budget of at most MAX_CACHED_VALUES words walks its _first_forms
+    table, one verdict per key: the first failing word is the first word of
+    the first failing key, so it fails at case position * len(actions) +
+    k + 1, and a pass counts every word against every action.  A larger
+    budget walks the words themselves through a verdict lru_cache, so its
+    memory stays bounded.  Randomized pass: trial t
     draws a word and then its action from seed xor t, through
     draw(rng, word) or, when draw is None, as a member of actions.  Pairs
     that an action leaves unchanged count as cases but are not evaluated
@@ -302,8 +335,8 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     starts afresh between two top-level words once it holds
     MAX_CACHED_VALUES entries, never inside one word's evaluation; every
     other memo, here and in the families' images, is an lru_cache of that
-    many entries: verdicts, rotations by angle, restrictions by support and
-    gauge angles.
+    many entries: verdicts on a walk of the words, rotations by angle,
+    restrictions by support and gauge angles.
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
@@ -334,7 +367,6 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
             after = after * rotations(angle)
         return after
 
-    @lru_cache(MAX_CACHED_VALUES)
     def first_failure(twist, nf):
         base = word_value(twist, nf)
         for k, angle, mapped in images(nf, field.is_zero(base)):
@@ -349,14 +381,20 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
 
     cases = 0
     if exhaustive:
-        for factors, twist, nf in iter_normal_words(max_factors, max_index, max_exponent):
-            k = first_failure(0 if exact else twist, nf)
-            if k is None:
-                cases += len(actions)
-                continue
-            base = word_value(twist, nf)
-            return failed(cases + k + 1, 0, factors, actions[k], base,
-                          image(twist, nf, base, *move(actions[k], nf)))
+        words = _word_count(max_factors, max_index, max_exponent)
+        if words <= MAX_CACHED_VALUES:
+            forms = _first_forms(max_factors, max_index, max_exponent, exact)
+            verdict = first_failure
+        else:
+            forms = enumerate(iter_normal_words(max_factors, max_index, max_exponent))
+            verdict = lru_cache(MAX_CACHED_VALUES)(first_failure)
+        for position, (factors, twist, nf) in forms:
+            k = verdict(0 if exact else twist, nf)
+            if k is not None:
+                base = word_value(twist, nf)
+                return failed(position * len(actions) + k + 1, 0, factors, actions[k],
+                              base, image(twist, nf, base, *move(actions[k], nf)))
+        cases = words * len(actions)
     for t in range(0 if exhaustive and draw is None else trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)

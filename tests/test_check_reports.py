@@ -211,3 +211,40 @@ def test_large_family_stays_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert report.passed and report.exhaustive_cases == 3 * 4099
     assert peak < 2**20
+
+
+@pytest.mark.filterwarnings("ignore:moments supported outside")
+@pytest.mark.parametrize("checker, make_state, beta, options",
+                         [case[:4] for case in GOLDEN] + PASSES,
+                         ids=[case_id(case) for case in GOLDEN + PASSES])
+def test_kept_and_streamed_words_give_one_report(monkeypatch, checker, make_state, beta,
+                                                 options):
+    symmetry._first_forms.cache_clear()
+    cold = checker(make_state(), beta, **WORDS, **options)
+    kept = symmetry._first_forms.cache_info()
+    assert kept.currsize == options.get("exhaustive", True)
+    assert checker(make_state(), beta, **WORDS, **options) == cold
+    warm = symmetry._first_forms.cache_info()
+    assert (warm.hits, warm.currsize) == (kept.currsize, kept.currsize)
+    # WORDS has 1 + 12 + 144 = 157 words: a cap below that walks them
+    # without a table
+    monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", 156)
+    assert checker(make_state(), beta, **WORDS, **options) == cold
+    assert symmetry._first_forms.cache_info() == warm
+
+
+def test_streamed_words_stay_in_bounded_memory(monkeypatch):
+    # the default budget's 8,421 words above a cap of 64: no table is kept,
+    # and the words are walked as iter_normal_words yields them
+    expected = check_stationary(soft_product(), BETA_HALF, trials=0)
+    monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", 64)
+    tables = symmetry._first_forms.cache_info()
+    tracemalloc.start()
+    try:
+        report = check_stationary(soft_product(), BETA_HALF, trials=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == expected and report.exhaustive_cases == 8421
+    assert symmetry._first_forms.cache_info() == tables
+    assert peak < 2**20

@@ -1,6 +1,7 @@
 """The package namespace: every public name, resolved from its submodule on use."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -69,3 +70,11 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from nctorus import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+def test_lazy_lookup_returns_the_submodule_and_refuses_unknown_names():
+    # importing a submodule binds it on the package, so a plain
+    # nctorus.symmetry never reaches the module __getattr__; call it directly
+    assert nctorus.__getattr__("symmetry") is sys.modules["nctorus.symmetry"]
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        nctorus.__getattr__("nosuch")

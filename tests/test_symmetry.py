@@ -541,6 +541,63 @@ def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
     assert len(calls) == 13581
 
 
+def naive_first_forms(budget, exact, keep="first"):
+    """(position, (factors, twist, nf)) of one word per verdict key, in the
+    order the keys first occur, through reference_words and normal_form."""
+    kept = {}
+    for position, factors in enumerate(reference_words(*budget)):
+        twist, nf = normal_form(factors)
+        key = nf if exact else (twist, nf)
+        if keep == "last" or key not in kept:
+            kept[key] = (position, (factors, twist, nf))
+    return tuple(kept.values())
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("budget", [(3, 2, 2), (2, 1, 2), (4, 1, 1), (2, 3, 3), (3, 1, 2),
+                                    (1, 2, 0), (0, 2, 2)])
+def test_first_form_table_matches_naive_first_occurrences(budget, exact):
+    table = symmetry._first_forms(*budget, exact)
+    assert table == naive_first_forms(budget, exact)
+    if len(table) < symmetry._word_count(*budget):
+        # some key repeats, so a table that kept its last word would differ
+        assert table != naive_first_forms(budget, exact, keep="last")
+
+
+def test_second_check_walks_the_kept_table(monkeypatch):
+    calls, walks = [], []
+    index_map_images = symmetry._index_map_images
+    iter_words = symmetry.iter_normal_words
+
+    def counted(maps):
+        images = index_map_images(maps)
+
+        def counted_images(word, zero):
+            found = images(word, zero)
+            calls.extend(word for _ in found)
+            return found
+        return counted_images
+
+    def counted_walk(*budget):
+        walks.append(budget)
+        return iter_words(*budget)
+
+    monkeypatch.setattr(symmetry, "_index_map_images", counted)
+    monkeypatch.setattr(symmetry, "iter_normal_words", counted_walk)
+    symmetry._first_forms.cache_clear()
+    first = check_spreadable(soft_product(), BETA_HALF, trials=0)
+    assert walks == [(3, 2, 2)]
+    calls.clear()
+    second = check_spreadable(soft_product(), BETA_HALF, trials=0)
+    assert walks == [(3, 2, 2)]  # no second enumeration
+    assert second == first and second.exhaustive_cases == 8421 * 57
+    # still one move per class of maps for each of the 1,181 normal forms
+    assert len(set(calls)) == 1181
+    assert len(calls) == 13581
+    info = symmetry._first_forms.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+
 @pytest.mark.filterwarnings("ignore:moments supported outside")
 def test_gauge_check_builds_one_rotation_per_angle(monkeypatch):
     angles = []
@@ -748,6 +805,31 @@ def test_reports_match_case_by_case_reference(checker, make_state, beta, budget,
         assert expected[2] > 0  # the failure is found in the random pass
     assert checker_report(checker, state, beta, budget, mode=mode, power=power,
                           **random_pass) == expected
+
+
+@pytest.mark.filterwarnings("ignore:moments supported outside")
+@pytest.mark.parametrize("checker, make_state, beta, budget, mode, power, passes, random_pass",
+                         REFERENCE_CASES, ids=map(reference_case_id, REFERENCE_CASES))
+def test_cold_and_warm_tables_give_one_report(checker, make_state, beta, budget, mode,
+                                              power, passes, random_pass):
+    # whole CheckReports, from a cleared module table and then from the kept one
+    max_factors, max_index, max_exponent = budget
+    options = {"trials": 0, **random_pass}
+    if checker == "stationary":
+        options["power"] = power
+
+    def report():
+        return CHECKERS[checker](make_state(), beta, max_factors=max_factors,
+                                 max_index=max_index, max_exponent=max_exponent,
+                                 mode=mode, **options)
+
+    symmetry._first_forms.cache_clear()
+    cold = report()
+    kept = symmetry._first_forms.cache_info().currsize
+    assert kept == random_pass.get("exhaustive", True)
+    assert report() == cold
+    info = symmetry._first_forms.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (kept, kept, kept)
 
 
 def test_random_pass_window_limit():
