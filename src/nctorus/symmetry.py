@@ -269,12 +269,12 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
 # has; the check's states.Values starts afresh between two top-level words
 # once it holds this many.  The CLI default budget meets about 4,800 distinct
 # normal forms among the words and their images.  It also gates the
-# per-process table: only a budget of at most this many words has its
-# _first_forms table kept (the CLI default budget has 8,421 words).
+# per-process table: only a budget of at most this many words has a
+# _first_forms table built and kept (the CLI default budget has 8,421 words).
 MAX_CACHED_VALUES = 2**16
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _first_forms(max_factors: int, max_index: int, max_exponent: int,
                  exact: bool) -> tuple[tuple[int, tuple[Word, int, Word]], ...]:
     """The pairs (position, (factors, twist, nf)) of
@@ -282,10 +282,12 @@ def _first_forms(max_factors: int, max_index: int, max_exponent: int,
     verdict key, in word order.  The key is nf in exact mode and (twist, nf)
     in float mode.
 
-    The words do not depend on the state, so each budget's table is built
-    once per process and shared by every check; the 8 budgets and modes
-    used last keep theirs, and cache_info() reports the tables kept and
-    their hits.
+    The words do not depend on the state, so a budget's table is built
+    once and shared by the checks that follow on that budget and mode.
+    One table is kept, that of the budget and mode used last: every
+    measured caller (a CLI child, the benchmark's checker workload) checks
+    one budget per process.  cache_info() reports the table kept and its
+    hits.
     """
     first = {}
     for position, entry in enumerate(iter_normal_words(max_factors, max_index, max_exponent)):
