@@ -194,9 +194,17 @@ PASSES = [
                          [case[:4] for case in GOLDEN] + PASSES,
                          ids=[case_id(case) for case in GOLDEN + PASSES])
 def test_value_cache_cap_keeps_reports(monkeypatch, cap, checker, make_state, beta, options):
-    expected = checker(make_state(), beta, **WORDS, **options).lines()
+    symmetry._first_forms.cache_clear()
+    cold = checker(make_state(), beta, **WORDS, **options)
+    expected = cold.lines()
+    # the same check again walks the first-form table the cold one kept
+    assert checker(make_state(), beta, **WORDS, **options) == cold
+    tables = symmetry._first_forms.cache_info()
+    assert tables.hits == tables.currsize == options.get("exhaustive", True)
     monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", cap)
     assert checker(make_state(), beta, **WORDS, **options).lines() == expected
+    # WORDS has 157 words, above the cap: they are walked without a table
+    assert symmetry._first_forms.cache_info() == tables
 
 
 def test_large_family_stays_in_bounded_memory(monkeypatch):
@@ -211,26 +219,6 @@ def test_large_family_stays_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert report.passed and report.exhaustive_cases == 3 * 4099
     assert peak < 2**20
-
-
-@pytest.mark.filterwarnings("ignore:moments supported outside")
-@pytest.mark.parametrize("checker, make_state, beta, options",
-                         [case[:4] for case in GOLDEN] + PASSES,
-                         ids=[case_id(case) for case in GOLDEN + PASSES])
-def test_kept_and_streamed_words_give_one_report(monkeypatch, checker, make_state, beta,
-                                                 options):
-    symmetry._first_forms.cache_clear()
-    cold = checker(make_state(), beta, **WORDS, **options)
-    kept = symmetry._first_forms.cache_info()
-    assert kept.currsize == options.get("exhaustive", True)
-    assert checker(make_state(), beta, **WORDS, **options) == cold
-    warm = symmetry._first_forms.cache_info()
-    assert (warm.hits, warm.currsize) == (kept.currsize, kept.currsize)
-    # WORDS has 1 + 12 + 144 = 157 words: a cap below that walks them
-    # without a table
-    monkeypatch.setattr(symmetry, "MAX_CACHED_VALUES", 156)
-    assert checker(make_state(), beta, **WORDS, **options) == cold
-    assert symmetry._first_forms.cache_info() == warm
 
 
 def test_streamed_words_stay_in_bounded_memory(monkeypatch):
