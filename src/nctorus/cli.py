@@ -17,15 +17,13 @@ import warnings
 from .deformation import InputError, parse_beta
 
 
-def _add_common(sub, state=False, seed=False):
+def _add_common(sub, state=False):
     sub.add_argument("--alpha", required=True,
                      help="deformation parameter: N/D or 'irrational'")
     if state:
         sub.add_argument("--state", required=True,
                          help="state description file (JSON)")
         sub.add_argument("--mode", choices=("exact", "float"), default="exact")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,16 +47,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("check", help="budgeted invariance checks")
+    # an option left out is left out of the checker call too, so the
+    # checkers' signatures hold the one set of defaults
+    p = subs.add_parser("check", help="budgeted invariance checks",
+                        argument_default=argparse.SUPPRESS)
     p.add_argument("property", choices=("spreadable", "stationary", "gauge"))
-    _add_common(p, state=True, seed=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-index", type=int, default=2)
-    p.add_argument("--max-exponent", type=int, default=2)
-    p.add_argument("--max-factors", type=int, default=3)
-    p.add_argument("--power", type=int, default=1,
+    _add_common(p, state=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--max-index", type=int)
+    p.add_argument("--max-exponent", type=int)
+    p.add_argument("--max-factors", type=int)
+    p.add_argument("--power", type=int,
                    help="shift power for the stationarity check")
-    p.add_argument("--no-exhaustive", action="store_true",
+    p.add_argument("--no-exhaustive", action="store_false", dest="exhaustive",
                    help="skip the exhaustive grammar, keep random trials")
     p.set_defaults(func=_cmd_check)
 
@@ -160,27 +162,22 @@ def _print_value(label: str, value) -> None:
     print(f"float: {number}")
 
 
+# The check options that reach the checker when given.
+_CHECK_OPTIONS = ("seed", "trials", "max_index", "max_exponent", "max_factors", "power",
+                  "exhaustive")
+
+
 def _cmd_check(args) -> int:
     from .symmetry import check_gauge_invariant, check_spreadable, check_stationary
 
-    if args.power != 1 and args.property != "stationary":
+    options = {key: value for key, value in vars(args).items() if key in _CHECK_OPTIONS}
+    # --power 1 names the default shift, so the other checks take it too
+    if args.property != "stationary" and options.pop("power", 1) != 1:
         raise InputError(f"--power applies to the stationary check, not to {args.property}")
     beta, state = _load(args)
-    common = dict(
-        trials=args.trials,
-        seed=args.seed,
-        max_factors=args.max_factors,
-        max_index=args.max_index,
-        max_exponent=args.max_exponent,
-        exhaustive=not args.no_exhaustive,
-        mode=args.mode,
-    )
-    if args.property == "spreadable":
-        report = check_spreadable(state, beta, **common)
-    elif args.property == "stationary":
-        report = check_stationary(state, beta, power=args.power, **common)
-    else:
-        report = check_gauge_invariant(state, beta, **common)
+    checker = {"spreadable": check_spreadable, "stationary": check_stationary,
+               "gauge": check_gauge_invariant}[args.property]
+    report = checker(state, beta, mode=args.mode, **options)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

@@ -514,13 +514,20 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_rows(obj: dict, key: str, width: int, shape: str) -> list:
-    rows = obj.get(key, [])
+    if key not in obj:
+        raise InputError(f"{obj['kind']} state needs a list '{key}'")
+    rows = obj[key]
     if not isinstance(rows, (list, tuple)):
         raise InputError(f"{obj['kind']} state needs a list '{key}', got {rows!r}")
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != width:
             raise InputError(f"each {shape}")
     return rows
+
+
+# The keys each state kind takes; any other key is refused.
+_STATE_KEYS = {"trace": {"kind"}, "product": {"kind", "moments"}, "block": {"kind", "n", "base"},
+               "cesaro": {"kind", "n", "base"}, "mixture": {"kind", "parts"}}
 
 
 def state_from_json(obj, *, mode: str = "exact") -> StateSpec:
@@ -534,12 +541,20 @@ def _state_from_json(obj, mode: str, exact: bool, depth: int) -> StateSpec:
     if depth == MAX_STATE_DEPTH:
         raise InputError(f"state descriptions nest at most {MAX_STATE_DEPTH} deep")
     kind = obj["kind"]
+    keys = _STATE_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise InputError(f"unknown state kind {kind!r}")
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"a {kind} state has no key {key!r}")
     if kind == "trace":
         return TRACE
     if kind == "product":
         moments = {}
         for l, re, im in _json_rows(obj, "moments", 3, "moment row is [l, re, im]"):
             l = _json_int(l, "a moment row needs an integer l")
+            if l in moments:
+                raise InputError(f"moment index {l} appears twice")
             re, im = _scalar_from_json(re, exact), _scalar_from_json(im, exact)
             moments[l] = QQi(re, im) if exact else complex(re, im)
         return ProductState(MomentSequence(moments, mode))
@@ -547,12 +562,10 @@ def _state_from_json(obj, mode: str, exact: bool, depth: int) -> StateSpec:
         cls = BlockProductState if kind == "block" else CesaroState
         n = _json_int(obj.get("n"), f"{kind} state needs an integer 'n'")
         return cls(n, _state_from_json(obj.get("base"), mode, exact, depth + 1))
-    if kind == "mixture":
-        return MixtureState(tuple(
-            (_rational_from_json(w), _state_from_json(p, mode, exact, depth + 1))
-            for w, p in _json_rows(obj, "parts", 2, "mixture part is [weight, state]")
-        ))
-    raise InputError(f"unknown state kind {kind!r}")
+    return MixtureState(tuple(
+        (_rational_from_json(w), _state_from_json(p, mode, exact, depth + 1))
+        for w, p in _json_rows(obj, "parts", 2, "mixture part is [weight, state]")
+    ))
 
 
 def load_state(path, *, mode: str = "exact") -> StateSpec:

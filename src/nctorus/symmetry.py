@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Iterator
 
@@ -301,16 +301,14 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
            mode) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
-    actions is a sized sequence; move(action, word) is (angle, mapped word)
-    for a normal-form word, and alpha sends the word to e(angle) times the
-    mapped word.  images(word, zero) yields (k, angle, mapped) for the first
-    action index k of each class of actions that give the word the same
-    image, in increasing k, where zero tells whether the word's value is
-    zero; a family whose moves only turn the word yields no image for a
-    zero value, since every turn of zero is zero.  Each word is
-    normal-ordered once and the actions move its normal form, which is
-    sound because index maps increase strictly (no new inversions) and
-    gauge actions keep the degree.
+    actions is a sized sequence.  The families compute image values and
+    the driver compares them: for a normal form nf of value base, with
+    value(word) the value of a word at nf's twist, move(action, nf, base,
+    value) is the value of alpha(nf), and images(nf, base, value) yields
+    (k, after) for the first index k of each class of actions that give nf
+    one image, in increasing k.  Each word is normal-ordered once and the
+    actions move its normal form, which is sound because index maps
+    increase strictly (no new inversions) and gauge actions keep the degree.
     Exhaustive pass: every factor word within the word budget against every
     action.  A word w is e(twist) times its normal form nf, so the pass
     computes one verdict per normal form (the index of the first failing
@@ -325,20 +323,19 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     the first failing key, so it fails at case position * len(actions) +
     k + 1, and a pass counts every word against every action.  A larger
     budget walks the words themselves through a verdict lru_cache, so its
-    memory stays bounded.  Randomized pass: trial t
-    draws a word and then its action from seed xor t, through
-    draw(rng, word) or, when draw is None, as a member of actions.  Pairs
-    that an action leaves unchanged count as cases but are not evaluated
-    again.  So do the trials after a passing exhaustive pass when draw is
-    None: the drawn word is one of the budget's words, the action one of
-    actions, and the pass compared the image of that very case (through its
-    (0, nf) or (twist, nf) verdict), so no such trial can fail.
+    memory stays bounded.  Randomized pass: trial t draws a word and then
+    its action from seed xor t, through draw(rng, word) or, when draw is
+    None, as a member of actions.  The trials after a passing exhaustive
+    pass count but are not drawn when draw is None: the drawn word is one
+    of the budget's words, the action one of actions, and the pass compared
+    the image of that very case (through its (0, nf) or (twist, nf)
+    verdict), so no such trial can fail.
     State values come from one states.Values for the whole check, which
     starts afresh between two top-level words once it holds
     MAX_CACHED_VALUES entries, never inside one word's evaluation; every
-    other memo, here and in the families' images, is an lru_cache of that
-    many entries: verdicts on a walk of the words, rotations by angle,
-    restrictions by support and gauge angles.
+    other memo, here and in the families, is an lru_cache of that many
+    entries: verdicts on a walk of the words, value functions by twist,
+    restrictions by support and gauge turns by residue.
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
@@ -351,8 +348,6 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
         f"|exponent|<={max_exponent}; {actions_note}; trials: {trials}"
     )
     memo = states.Values(algebra, field)
-    rotations = lru_cache(MAX_CACHED_VALUES)(
-        lambda q: field.coefficient(PhaseCoefficient.unit_angle(q)))
 
     def word_value(twist, word):
         nonlocal memo
@@ -363,18 +358,20 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
             v = v * field.coefficient(algebra.twist_phase(twist))
         return v
 
-    def image(twist, nf, base, angle, mapped):
-        after = base if mapped == nf else word_value(twist, mapped)
-        if angle and not field.is_zero(after):
-            after = after * rotations(angle)
-        return after
+    # value_at(twist)(word) == word_value(twist, word); one function per
+    # twist, as a fresh one per normal form costs more than the lookup
+    value_at = lru_cache(MAX_CACHED_VALUES)(lambda twist: partial(word_value, twist))
 
     def first_failure(twist, nf):
         base = word_value(twist, nf)
-        for k, angle, mapped in images(nf, field.is_zero(base)):
-            if not field.equal(image(twist, nf, base, angle, mapped), base):
+        for k, after in images(nf, base, value_at(twist)):
+            if not field.equal(after, base):
                 return k
         return None
+
+    def moved(action, twist, nf):
+        base = word_value(twist, nf)
+        return base, move(action, nf, base, value_at(twist))
 
     def failed(cases, done, factors, action, before, after):
         cx = Counterexample(format_word(factors) or "1", label(action),
@@ -393,32 +390,31 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
         for position, (factors, twist, nf) in forms:
             k = verdict(0 if exact else twist, nf)
             if k is not None:
-                base = word_value(twist, nf)
                 return failed(position * len(actions) + k + 1, 0, factors, actions[k],
-                              base, image(twist, nf, base, *move(actions[k], nf)))
+                              *moved(actions[k], twist, nf))
         cases = words * len(actions)
     for t in range(0 if exhaustive and draw is None else trials):
         rng = random.Random(seed ^ t)
         factors = random_factor_word(rng, max_factors, max_index, max_exponent)
         action = actions[rng.randrange(len(actions))] if draw is None else draw(rng, factors)
-        twist, nf = normal_form(factors)
-        base = word_value(twist, nf)
-        after = image(twist, nf, base, *move(action, nf))
+        base, after = moved(action, *normal_form(factors))
         if not field.equal(after, base):
             return failed(cases, t + 1, factors, action, base, after)
     return CheckReport(name, state.describe(), True, cases, trials, None, budget)
 
 
-def _index_map_move(h, word):
-    """h applied to each index of a word."""
-    return 0, tuple((h(i), e) for i, e in word)
+def _index_map_move(h, word, base, value):
+    """The value of the word with h applied to each of its indices; a word
+    that h leaves in place keeps base, with no second evaluation."""
+    mapped = tuple((h(i), e) for i, e in word)
+    return base if mapped == word else value(mapped)
 
 
 def _index_map_images(maps):
-    """images(word, zero) for index maps: the first index of each distinct
-    restriction of the maps to the word's support, with the restriction,
-    found once per support.  A map can send a word of value zero to one of
-    another value, so zero is not used."""
+    """images(word, base, value) for index maps: the first index of each
+    distinct restriction of the maps to the word's support (found once per
+    support) with its image's value.  A map can send a word of value zero
+    to one of another value, so a zero base is moved too."""
     @lru_cache(MAX_CACHED_VALUES)
     def firsts(support):
         first = {}
@@ -426,10 +422,11 @@ def _index_map_images(maps):
             first.setdefault(tuple(map(h, support)), k)
         return first
 
-    def images(word, zero):
+    def images(word, base, value):
         exponents = [e for _, e in word]
-        return [(k, 0, tuple(zip(values, exponents)))
-                for values, k in firsts(tuple(i for i, _ in word)).items()]
+        for values, k in firsts(tuple(i for i, _ in word)).items():
+            mapped = tuple(zip(values, exponents))
+            yield k, base if mapped == word else value(mapped)
     return images
 
 
@@ -502,8 +499,8 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     Rational beta: all angles j/n of the finite annihilator.  Irrational
     beta: the annihilator is the whole circle, so the angles j/8 stand in
     for it.  The actions are the numerators j in range(n) (or range(8)); a
-    word of degree d turns by the angle (j*d mod n)/n, taken from one table
-    shared by every j.  That angle depends on j mod n/gcd(d, n) only, so
+    word of degree d turns by e(r/n), r = j*d mod n, from one table of turns
+    by residue (r = 0 is no turn).  r depends on j mod n/gcd(d, n) only, so
     the classes of a word of degree d are the first n/gcd(d, n) numerators;
     a word of value zero has none to compare, as every turn of zero is zero.
     Trial t draws its numerator with randrange(n) (or randrange(8)).
@@ -515,17 +512,19 @@ def check_gauge_invariant(state: StateSpec, beta: DeformationParameter, *,
     else:
         count = 8
         angle_note = f"angles j/{count} sampling the whole circle"
-    angles = lru_cache(MAX_CACHED_VALUES)(lambda r: Fraction(r, count))
+    field = scalar_field(mode)
+    turns = lru_cache(MAX_CACHED_VALUES)(
+        lambda r: field.coefficient(PhaseCoefficient.unit_angle(Fraction(r, count))))
 
-    def images(word, zero):
-        if zero:
+    def move(j, word, base, value):
+        r = j * word_degree(word) % count
+        return base * turns(r) if r and not field.is_zero(base) else base
+
+    def images(word, base, value):
+        if field.is_zero(base):
             return ()
-        d = word_degree(word)
-        classes = count // gcd(d, count)
-        return ((j, angles(j * d % count), word) for j in range(classes))
-
-    def move(j, word):
-        return angles(j * word_degree(word) % count), word
+        classes = count // gcd(word_degree(word), count)
+        return ((j, move(j, word, base, value)) for j in range(classes))
 
     return _check(
         "gauge-invariant", state, beta, angle_note, range(count), images, None, move,

@@ -235,4 +235,4 @@ def test_streamed_words_stay_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert report == expected and report.exhaustive_cases == 8421
     assert symmetry._first_forms.cache_info() == tables
-    assert peak < 2**20
+    assert peak < 2**19

@@ -171,6 +171,13 @@ def state_files(tmp_path):
         "n_not_int": {"kind": "block", "n": "x", "base": {"kind": "trace"}},
         "n_missing": {"kind": "block", "base": {"kind": "trace"}},
         "n_negative": {"kind": "block", "n": -1, "base": {"kind": "trace"}},
+        "no_moments": {"kind": "product"},
+        "moment_typo": {"kind": "product", "moment": [[2, "1/2", 0]]},
+        "repeated_moment": {"kind": "product", "moments": [[2, "1/2", 0], [2, "1/4", 0]]},
+        "trace_n": {"kind": "trace", "n": 3},
+        "no_parts": {"kind": "mixture"},
+        "nested_extra": {"kind": "cesaro", "n": 1, "base": {"kind": "block", "n": 1, "parts": [],
+                                                            "base": {"kind": "trace"}}},
     }
     for name, obj in specs.items():
         p = tmp_path / f"{name}.json"
@@ -897,6 +904,20 @@ def test_boolean_moment_exits_2_in_both_modes(capsys, tmp_path, mode, row):
      "argument --words: expected at least one argument"),
     (["oracle", "psd", "--alpha", "1/2", "--state", "@prod", "--order", "6", "--words"],
      "argument --words: expected at least one argument"),
+    # a state description names its list, each moment index once, and no
+    # key its kind does not use; none of these reads as another state
+    (["eval", "--alpha", "1/2", "--state", "@no_moments", "u[0]^2"],
+     "product state needs a list 'moments'"),
+    (["eval", "--alpha", "1/2", "--state", "@moment_typo", "u[0]^2"],
+     "a product state has no key 'moment'"),
+    (["eval", "--alpha", "1/2", "--state", "@repeated_moment", "u[0]^2"],
+     "moment index 2 appears twice"),
+    (["eval", "--alpha", "1/2", "--state", "@trace_n", "u[0]^2"],
+     "a trace state has no key 'n'"),
+    (["eval", "--alpha", "1/2", "--state", "@no_parts", "1"],
+     "mixture state needs a list 'parts'"),
+    (["check", "gauge", "--alpha", "1/2", "--state", "@nested_extra", "--trials", "1"],
+     "a block state has no key 'parts'"),
 ])
 def test_refusal_exits_2_before_any_output(capsys, state_files, argv, message):
     argv = [state_files[a[1:]] if a.startswith("@") else a for a in argv]

@@ -433,22 +433,79 @@ def test_index_map_move_evaluates_only_used_indices():
         calls.append(k)
         return 2 * k
 
-    assert _index_map_move(h, ((-10**9, 1), (3, -2))) == (0, ((-2 * 10**9, 1), (6, -2)))
-    assert _index_map_move(h, ((3, 1), (10**9, 2))) == (0, ((6, 1), (2 * 10**9, 2)))
+    def value(word):  # a moved word stands for its value
+        return word
+
+    assert _index_map_move(h, ((-10**9, 1), (3, -2)), "base", value) == ((-2 * 10**9, 1), (6, -2))
+    assert _index_map_move(h, ((3, 1), (10**9, 2)), "base", value) == ((6, 1), (2 * 10**9, 2))
     assert calls == [-10**9, 3, 3, 10**9]
+    # a word the map leaves in place keeps its base, with no evaluation
+    assert _index_map_move(h, ((0, 1),), "base", None) == "base"
 
 
 @pytest.mark.parametrize("maps", [spreading_map_grammar(), [Shift(-3)], [Shift(1)], [Shift(3)]],
                          ids=["grammar", "tau^-3", "tau", "tau^3"])
 def test_index_map_images_match_every_move(maps):
-    # slow-path reference: move by every map, keep the first of each image
+    # slow-path reference: move by every map, keep the first of each image;
+    # a word stands for its own value, so the moves are the images
     images = _index_map_images(maps)
+    evaluated = []
+
+    def value(word):
+        evaluated.append(word)
+        return word
+
     for nf in {nf for _, _, nf in iter_normal_words(3, 2, 2)}:
         first = {}
         for k, h in enumerate(maps):
-            first.setdefault(_index_map_move(h, nf), k)
-        expected = [(k, angle, mapped) for (angle, mapped), k in first.items()]
-        assert images(nf, False) == images(nf, True) == expected, nf
+            first.setdefault(_index_map_move(h, nf, nf, value), k)
+        assert list(images(nf, nf, value)) == [(k, mapped) for mapped, k in first.items()], nf
+        # images come lazily: the first evaluates at most one word
+        evaluated.clear()
+        next(images(nf, nf, value))
+        assert len(evaluated) <= 1
+
+
+def gauge_family(beta):
+    """(actions, images, move) that an exact check_gauge_invariant at beta
+    hands to the driver."""
+    family = {}
+
+    def capture(name, state, beta, note, actions, images, draw, move, label, **budget):
+        family.update(actions=actions, images=images, move=move)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetry, "_check", capture)
+        check_gauge_invariant(TRACE, beta)
+    return family["actions"], family["images"], family["move"]
+
+
+@pytest.mark.parametrize("beta", [BETA_HALF, canonicalize(3, 8), IRRATIONAL],
+                         ids=["1/2", "3/8", "irrational"])
+def test_gauge_images_match_every_move(beta):
+    # slow-path reference: rotate the word's element by every angle j/n
+    # (apply_gauge) and keep the first numerator of each distinct value
+    actions, images, move = gauge_family(beta)
+    n = isotropy(beta).generator or 8
+    assert actions == range(n)
+    algebra = TorusAlgebra(beta)
+
+    def value(word):
+        raise AssertionError("a gauge action evaluates no other word")
+
+    zero, one = states.EXACT.zero, states.EXACT.one
+    bases = [zero, one, PhaseCoefficient.from_rational(F(-3, 5)), PhaseCoefficient.unit_angle(F(1, 3))]
+    for nf in {nf for _, _, nf in iter_normal_words(2, 1, 3)}:
+        x = algebra.word(nf)
+        for base in bases:
+            moved = [base * apply_gauge(x, F(j, n)).coefficient(nf) for j in actions]
+            assert [move(j, nf, base, value) for j in actions] == moved, (nf, base)
+            expected = []
+            for j, after in enumerate(moved):
+                if all(after != a for _, a in expected):
+                    expected.append((j, after))
+            # every turn of zero is zero: a zero base lists no image
+            assert list(images(nf, base, value)) == ([] if base == zero else expected), (nf, base)
 
 
 def counted_values(monkeypatch, kind):
@@ -518,20 +575,26 @@ def test_prefix_normal_forms_match_normal_form(budget):
         assert cancelled  # words such as u_0 u_0^-1 lose an index
 
 
-def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
+def counted_index_map_images(monkeypatch):
+    """The word of each image an index-map family yields, from now on."""
     calls = []
     index_map_images = symmetry._index_map_images
 
     def counted(maps):
         images = index_map_images(maps)
 
-        def counted_images(word, zero):
-            found = images(word, zero)
-            calls.extend(word for _ in found)
-            return found
+        def counted_images(word, base, value):
+            for found in images(word, base, value):
+                calls.append(word)
+                yield found
         return counted_images
 
     monkeypatch.setattr(symmetry, "_index_map_images", counted)
+    return calls
+
+
+def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
+    calls = counted_index_map_images(monkeypatch)
     report = check_spreadable(soft_product(), BETA_HALF, trials=0)
     assert report.passed
     assert report.exhaustive_cases == 8421 * 57
@@ -565,24 +628,13 @@ def test_first_form_table_matches_naive_first_occurrences(budget, exact):
 
 
 def test_second_check_walks_the_kept_table(monkeypatch):
-    calls, walks = [], []
-    index_map_images = symmetry._index_map_images
+    calls, walks = counted_index_map_images(monkeypatch), []
     iter_words = symmetry.iter_normal_words
-
-    def counted(maps):
-        images = index_map_images(maps)
-
-        def counted_images(word, zero):
-            found = images(word, zero)
-            calls.extend(word for _ in found)
-            return found
-        return counted_images
 
     def counted_walk(*budget):
         walks.append(budget)
         return iter_words(*budget)
 
-    monkeypatch.setattr(symmetry, "_index_map_images", counted)
     monkeypatch.setattr(symmetry, "iter_normal_words", counted_walk)
     symmetry._first_forms.cache_clear()
     first = check_spreadable(soft_product(), BETA_HALF, trials=0)

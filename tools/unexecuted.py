@@ -64,30 +64,40 @@ def statements(source: str, filename: str) -> list[tuple[int, set[int]]]:
 
 
 class LineTracer:
-    """Records the line events of the frames whose code lives under a directory."""
+    """Records the line events of the frames whose code lives under a directory.
+
+    Each such file gets a bytearray with one byte per line and one line hook
+    that sets its bytes, both made at the file's first frame, so recording a
+    line allocates nothing that outlives it (a tracemalloc peak reads about
+    the same as in an untraced run).
+    """
 
     def __init__(self, directory: str):
         self.prefix = os.path.join(os.path.realpath(directory), "")
-        self.hits: dict[str, set[int]] = {}
-        self._lines_of: dict[str, set[int] | None] = {}  # co_filename -> its hits
+        self.hits: dict[str, bytearray] = {}  # path -> 1 at each line that ran
+        self._hooks: dict[str, object] = {}  # co_filename -> its line hook or None
 
-    def trace(self, frame, event, arg):
-        filename = frame.f_code.co_filename
-        if filename not in self._lines_of:
-            path = os.path.realpath(filename)
-            self._lines_of[filename] = (self.hits.setdefault(path, set())
-                                        if path.startswith(self.prefix) else None)
-        lines = self._lines_of[filename]
-        if lines is None:
+    def _hook(self, filename: str):
+        path = os.path.realpath(filename)
+        if not path.startswith(self.prefix):
             return None
-        add = lines.add
+        if path not in self.hits:
+            with open(path, "rb") as f:
+                self.hits[path] = bytearray(f.read().count(b"\n") + 2)
+        ran = self.hits[path]
 
         def local(frame, event, arg):
             if event == "line":
-                add(frame.f_lineno)
+                ran[frame.f_lineno] = 1
             return local
 
         return local
+
+    def trace(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        if filename not in self._hooks:
+            self._hooks[filename] = self._hook(filename)
+        return self._hooks[filename]
 
     def __enter__(self):
         threading.settrace(self.trace)
@@ -99,7 +109,7 @@ class LineTracer:
         threading.settrace(None)
 
 
-def report(directory: str, hits: dict[str, set[int]], imported: set[str]) -> list[str]:
+def report(directory: str, hits: dict[str, bytearray], imported: set[str]) -> list[str]:
     """The unexecuted statements of each imported module, then the modules never imported."""
     lines, never = [], []
     package = os.path.basename(directory)
@@ -113,9 +123,9 @@ def report(directory: str, hits: dict[str, set[int]], imported: set[str]) -> lis
         with open(path, encoding="utf-8") as f:
             source = f.read()
         text = source.splitlines()
-        ran = hits.get(path, set())
+        ran = hits.get(path, bytearray(len(text) + 2))
         for first, own in statements(source, path):
-            if not own & ran:
+            if not any(ran[line] for line in own):
                 lines.append(f"{package}/{name}:{first}: {text[first - 1].strip()}")
     return lines + never + [f"{len(lines)} statements unexecuted"]
 
