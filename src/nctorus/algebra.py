@@ -11,8 +11,8 @@ so equality is per-word coefficient equality.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .deformation import DeformationParameter, InputError, isotropy
 from .scalars import PC_ONE, PC_ZERO, PhaseCoefficient

@@ -8,13 +8,51 @@ denominator decide every phase question downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 
 class InputError(ValueError):
     """Rejected constructor or command input."""
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields once, as __slots__ = _fields = (...), and
+    sets them in its own __init__ through object.__setattr__.  Equality,
+    hash, repr and pickling come from that field tuple as for a frozen
+    dataclass: records of different classes never compare equal, a record
+    hashes as the tuple of its field values, and repr reads
+    Class(field=value, ...).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # Largest cyclotomic level accepted from input: the denominator of beta or
@@ -44,8 +82,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DeformationParameter:
+class DeformationParameter(_Record):
     """Reduced value of beta, or the symbolic irrational.
 
     In the rational case the denominator is positive, the fraction is in
@@ -55,9 +92,14 @@ class DeformationParameter:
     beta are rationally independent.
     """
 
-    numerator: int | None = None
-    denominator: int | None = None
-    denominator_factors: tuple[tuple[int, int], ...] | None = None
+    __slots__ = _fields = ("numerator", "denominator", "denominator_factors")
+
+    def __init__(self, numerator: int | None = None, denominator: int | None = None,
+                 denominator_factors: tuple[tuple[int, int], ...] | None = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "numerator", numerator)
+        setattr_(self, "denominator", denominator)
+        setattr_(self, "denominator_factors", denominator_factors)
 
     @property
     def is_rational(self) -> bool:
@@ -100,8 +142,7 @@ def parse_beta(text: str) -> DeformationParameter:
     return canonicalize(f.numerator, f.denominator)
 
 
-@dataclass(frozen=True)
-class IsotropySubgroup:
+class IsotropySubgroup(_Record):
     """The integers k whose squared twist beta*k*k is an integer.
 
     generator None encodes the trivial subgroup {0}; its annihilator in the
@@ -109,7 +150,10 @@ class IsotropySubgroup:
     and the annihilator is the finite group of roots of unity of that order.
     """
 
-    generator: int | None
+    __slots__ = _fields = ("generator",)
+
+    def __init__(self, generator: int | None):
+        object.__setattr__(self, "generator", generator)
 
     def contains(self, k: int) -> bool:
         if self.generator is None:

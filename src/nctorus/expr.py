@@ -17,13 +17,12 @@ reduced phase) pair with words sorted, so parse(print(x)) == x.  Factors
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
 
 from .algebra import Element, TorusAlgebra
-from .deformation import MAX_LEVEL, InputError, factorize
+from .deformation import MAX_LEVEL, InputError, _Record, factorize
 from .scalars import PhaseCoefficient
 
 
@@ -39,12 +38,15 @@ class ParseError(InputError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
+class _Token(_Record):
+    __slots__ = _fields = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value: str, line: int, column: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "value", value)
+        setattr_(self, "line", line)
+        setattr_(self, "column", column)
 
 
 _PUNCT = set("[]()^*+-/")

@@ -12,14 +12,13 @@ positivity checks for moment and Gram matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, pi
 from typing import TYPE_CHECKING
 
 from .algebra import MAX_PRODUCT_PAIRS, Element, TorusAlgebra, Word, word_translate
-from .deformation import MAX_LEVEL, DeformationParameter, InputError, factorize
+from .deformation import MAX_LEVEL, DeformationParameter, InputError, _Record, factorize
 from .scalars import QQI_ZERO, QQI_ONE, PhaseCoefficient, QQi
 from .states import (
     EXACT,
@@ -404,18 +403,25 @@ def matrix_trace_eval(factors, rep: MatrixRep) -> complex:
     return complex(value)
 
 
-@dataclass
-class PsdVerdict:
+class PsdVerdict(_Record):
     """Outcome of a positivity check, with a certificate on failure.
 
     witness is a coefficient vector x with x* M x < 0 (exact value in
     form_value for the exact path, min_eigenvalue for the float path).
+    Unlike the other records it is mutable, and so unhashable.
     """
 
-    is_psd: bool
-    witness: tuple | None = None
-    form_value: Fraction | None = None
-    min_eigenvalue: float | None = None
+    __slots__ = _fields = ("is_psd", "witness", "form_value", "min_eigenvalue")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, is_psd: bool, witness: tuple | None = None,
+                 form_value: Fraction | None = None, min_eigenvalue: float | None = None):
+        self.is_psd = is_psd
+        self.witness = witness
+        self.form_value = form_value
+        self.min_eigenvalue = min_eigenvalue
 
     def describe(self) -> str:
         if self.is_psd:

@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 import operator
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import groupby
-from typing import Mapping
 
 from .algebra import Element, TorusAlgebra, Word, translate, word_degree, word_translate
-from .deformation import DeformationParameter, InputError, isotropy
+from .deformation import DeformationParameter, InputError, _Record, isotropy
 from .scalars import PC_ONE, PC_ZERO, QQI_ONE, PhaseCoefficient, QQi
 
 FLOAT_TOLERANCE = 1e-9
@@ -182,8 +181,8 @@ class Values(dict):
         return v
 
 
-class StateSpec:
-    """Base of the structural state descriptions.
+class StateSpec(_Record):
+    """Base of the structural state descriptions, each an immutable record.
 
     Each kind evaluates a normal-form word within one evaluation's Values
     (value(word, values)), describes and serializes itself
@@ -204,9 +203,10 @@ class StateSpec:
             c.check_admissible(iso, exact)
 
 
-@dataclass(frozen=True)
 class Trace(StateSpec):
     """The canonical trace: kills every nonempty normal-form word."""
+
+    __slots__ = ()
 
     def value(self, word: Word, values: Values):
         return values.field.zero if word else values.field.one
@@ -221,11 +221,13 @@ class Trace(StateSpec):
 TRACE = Trace()
 
 
-@dataclass(frozen=True)
 class ProductState(StateSpec):
     """Site-wise product of one circle-state given by its moments."""
 
-    moments: MomentSequence
+    __slots__ = _fields = ("moments",)
+
+    def __init__(self, moments: MomentSequence):
+        object.__setattr__(self, "moments", moments)
 
     def value(self, word: Word, values: Values):
         field = values.field
@@ -282,21 +284,21 @@ def cesaro_runs(word: Word, half_width: int) -> list[tuple[int, int]]:
     return [(t - half_width, end - t) for t, end in zip(cuts, ends)]
 
 
-@dataclass(frozen=True)
 class _BlockFamily(StateSpec):
     """A shift-invariant base spread over blocks of width 2*half_width + 1."""
 
-    half_width: int
-    base: StateSpec
+    __slots__ = _fields = ("half_width", "base")
 
-    def __post_init__(self):
-        if self.half_width < 0:
+    def __init__(self, half_width: int, base: StateSpec):
+        if half_width < 0:
             raise InputError(f"{self.kind} half width must be >= 0")
-        if not self.base.is_shift_invariant():
+        if not base.is_shift_invariant():
             raise InputError(
                 f"{self.base_noun} base must be shift invariant "
                 "(trace, product, mixture, or cesaro)"
             )
+        object.__setattr__(self, "half_width", half_width)
+        object.__setattr__(self, "base", base)
 
     def children(self) -> tuple[StateSpec, ...]:
         return (self.base,)
@@ -339,6 +341,7 @@ class BlockProductState(_BlockFamily):
     Block products are only periodically shift invariant.
     """
 
+    __slots__ = ()
     kind, base_noun = "block", "block product"
 
     def is_shift_invariant(self) -> bool:
@@ -360,6 +363,7 @@ class CesaroState(_BlockFamily):
     block products, however large n is.
     """
 
+    __slots__ = ()
     kind, base_noun = "cesaro", "cesaro"
 
     def value(self, word: Word, values: Values):
@@ -372,21 +376,57 @@ class CesaroState(_BlockFamily):
         return field.mean(acc, 2 * n + 1)
 
 
-@dataclass(frozen=True)
+def cesaro_defect(base: StateSpec, word: Word, algebra: TorusAlgebra, *,
+                  mode: str = "exact"):
+    """(D, A) with phi_n(w) - phi(w) = A/(2n+1) for every n with 2n+1 > D.
+
+    phi is the shift-invariant base, phi_n = CesaroState(n, base) and w a
+    normal-form word with support i_1 < ... < i_k.  D = i_k - i_1 (0 for
+    k <= 1) and A = sum over j < k of g_j * (B(w_<=j, w_>j) - phi(w)), with
+    gap g_j = i_{j+1} - i_j and B the product of the two blocks as
+    block_product reads them: zero when a block's degree is outside the
+    isotropy subgroup, else the base on each block translated to index 0.
+    When 2n+1 > D a shift puts at most one block boundary inside the
+    support: in gap j on g_j of the shifts, and on none of the other
+    2n+1-D, which leave w in one block and give phi(w) for an admissible
+    base.  |phi| <= 1 on unitaries, so |A| <= 2D: one word's A bounds the
+    Cesaro gap for all those n at once.  A is summed here gap by gap,
+    independently of CesaroState.value.
+    """
+    field = scalar_field(mode)
+    if not base.is_shift_invariant():
+        raise InputError("cesaro base must be shift invariant "
+                         "(trace, product, mixture, or cesaro)")
+    if len(word) < 2:
+        return 0, field.zero
+    values, iso = Values(algebra, field), algebra.isotropy
+
+    def block(factors):
+        if not iso.contains(word_degree(factors)):
+            return field.zero
+        return values.of(base, word_translate(factors, -factors[0][0]))
+
+    whole = values.of(base, word)
+    acc = field.zero
+    for j in range(1, len(word)):
+        acc = acc + (block(word[:j]) * block(word[j:]) - whole) * (word[j][0] - word[j - 1][0])
+    return word[-1][0] - word[0][0], acc
+
+
 class MixtureState(StateSpec):
     """Finite convex mixture; weights are positive rationals summing to 1."""
 
-    parts: tuple[tuple[Fraction, StateSpec], ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple((Fraction(w), p) for w, p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[tuple[Fraction, StateSpec], ...]):
+        parts = tuple((Fraction(w), p) for w, p in parts)
         if not parts:
             raise InputError("a mixture needs at least one part")
         if any(w <= 0 for w, _ in parts):
             raise InputError("mixture weights must be positive")
         if sum(w for w, _ in parts) != 1:
             raise InputError("mixture weights must sum to 1")
+        object.__setattr__(self, "parts", parts)
 
     def children(self) -> tuple[StateSpec, ...]:
         return tuple(p for _, p in self.parts)

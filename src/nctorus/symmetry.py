@@ -10,25 +10,26 @@ pass is always reported together with its budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
-from typing import Iterator
 
 from . import states
 from .algebra import TorusAlgebra, Word, normal_form, split_at, word_degree
-from .deformation import DeformationParameter, InputError, isotropy
+from .deformation import DeformationParameter, InputError, _Record, isotropy
 from .expr import format_word
 from .scalars import PhaseCoefficient
 from .states import EXACT, StateSpec, scalar_field, validate_state
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(_Record):
     """k -> k + amount."""
 
-    amount: int = 1
+    __slots__ = _fields = ("amount",)
+
+    def __init__(self, amount: int = 1):
+        object.__setattr__(self, "amount", amount)
 
     def __call__(self, k: int) -> int:
         return k + self.amount
@@ -39,11 +40,13 @@ class Shift:
         return f"tau^{self.amount}"
 
 
-@dataclass(frozen=True)
-class PartialShift:
+class PartialShift(_Record):
     """Right-hand-side partial shift: k below the pivot stays, the rest bumps."""
 
-    pivot: int = 0
+    __slots__ = _fields = ("pivot",)
+
+    def __init__(self, pivot: int = 0):
+        object.__setattr__(self, "pivot", pivot)
 
     def __call__(self, k: int) -> int:
         return k if k < self.pivot else k + 1
@@ -52,11 +55,13 @@ class PartialShift:
         return f"theta_{self.pivot}"
 
 
-@dataclass(frozen=True)
-class Composite:
+class Composite(_Record):
     """Composition, rightmost map applied first; no parts is the identity."""
 
-    parts: tuple
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)
 
     def __call__(self, k: int) -> int:
         for part in reversed(self.parts):
@@ -72,18 +77,19 @@ class Composite:
 IDENTITY = Composite(())
 
 
-@dataclass(frozen=True)
-class TableMap:
+class TableMap(_Record):
     """Explicit strictly increasing values on a window, shifted identity outside."""
 
-    lo: int
-    values: tuple[int, ...]
+    __slots__ = _fields = ("lo", "values")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, lo: int, values: tuple[int, ...]):
+        if not values:
             raise InputError("a table map needs a nonempty window")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise InputError("table values must increase strictly")
+        setattr_ = object.__setattr__
+        setattr_(self, "lo", lo)
+        setattr_(self, "values", values)
 
     def __call__(self, k: int) -> int:
         hi = self.lo + len(self.values) - 1
@@ -172,23 +178,32 @@ def random_factor_word(rng: random.Random, max_factors: int, max_index: int,
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    word: str
-    action: str
-    before: str
-    after: str
+class Counterexample(_Record):
+    __slots__ = _fields = ("word", "action", "before", "after")
+
+    def __init__(self, word: str, action: str, before: str, after: str):
+        setattr_ = object.__setattr__
+        setattr_(self, "word", word)
+        setattr_(self, "action", action)
+        setattr_(self, "before", before)
+        setattr_(self, "after", after)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    property_name: str
-    state: str
-    passed: bool
-    exhaustive_cases: int
-    random_trials: int
-    counterexample: Counterexample | None
-    budget: str
+class CheckReport(_Record):
+    __slots__ = _fields = ("property_name", "state", "passed", "exhaustive_cases",
+                           "random_trials", "counterexample", "budget")
+
+    def __init__(self, property_name: str, state: str, passed: bool,
+                 exhaustive_cases: int, random_trials: int,
+                 counterexample: Counterexample | None, budget: str):
+        setattr_ = object.__setattr__
+        setattr_(self, "property_name", property_name)
+        setattr_(self, "state", state)
+        setattr_(self, "passed", passed)
+        setattr_(self, "exhaustive_cases", exhaustive_cases)
+        setattr_(self, "random_trials", random_trials)
+        setattr_(self, "counterexample", counterexample)
+        setattr_(self, "budget", budget)
 
     def lines(self) -> list[str]:
         out = [

@@ -5,10 +5,15 @@ Every module of src/nctorus/ other than __init__.py (which re-exports) uses
 each name it imports, every module-level _private function, class or
 constant is referenced somewhere in src/ outside its own definition, and
 only the command line imports the oracle, so that the reference
-implementations stay references.
+implementations stay references.  A cold import of the command line and
+the modules it runs loads neither dataclasses (nor the inspect module it
+pulls in) nor numpy, which loads on first use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nctorus
@@ -69,8 +74,9 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     return dead
 
 
-def imports_oracle(source: str) -> bool:
-    """Whether the source imports the oracle module or a name from it."""
+def imports_module(source: str, name: str) -> bool:
+    """Whether the source imports a module whose last dotted part is name,
+    or a name from it."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
@@ -78,9 +84,14 @@ def imports_oracle(source: str) -> bool:
             modules = [node.module or ""] + [alias.name for alias in node.names]
         else:
             continue
-        if any(module.split(".")[-1] == "oracle" for module in modules):
+        if any(module.split(".")[-1] == name for module in modules):
             return True
     return False
+
+
+def imports_oracle(source: str) -> bool:
+    """Whether the source imports the oracle module or a name from it."""
+    return imports_module(source, "oracle")
 
 
 def package_sources() -> dict[str, str]:
@@ -123,3 +134,23 @@ def test_oracle_check_sees_each_import_form():
                    "def f():\n    from nctorus.oracle import gram_psd\n"):
         assert imports_oracle(source), source
     assert not imports_oracle("from .states import evaluate\nORACLE = 'oracle'\n")
+
+
+def test_no_module_imports_dataclasses():
+    assert [module for module, source in package_sources().items()
+            if imports_module(source, "dataclasses")] == []
+    for source in ("import dataclasses\n", "from dataclasses import dataclass\n",
+                   "def f():\n    import dataclasses as dc\n"):
+        assert imports_module(source, "dataclasses"), source
+    assert not imports_module("DATACLASSES = 'dataclasses'\n", "dataclasses")
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
+    code = ("import sys\n"
+            "import nctorus.cli, nctorus.states, nctorus.symmetry, nctorus.expr, nctorus.oracle\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules))\n")
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
