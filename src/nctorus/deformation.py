@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 
 class InputError(ValueError):
@@ -30,23 +31,32 @@ class _Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    @staticmethod
+    def _astuple(record) -> tuple:
+        """The record's field values, in field order."""
+        return ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields:  # attrgetter reads every field in one C call
+            get = attrgetter(*fields)
+            cls._astuple = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self._astuple(self) == self._astuple(other)
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._astuple(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._astuple()
+        return self.__class__, self._astuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

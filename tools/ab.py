@@ -30,7 +30,6 @@ import argparse
 import io
 import json
 import os
-import platform
 import shlex
 import shutil
 import statistics
@@ -241,9 +240,7 @@ def main(argv: list[str]) -> int:
         "workload": args.workload, "seconds": args.seconds,
         "run": shlex.join([*command, "--workload", args.workload, "--seed", "S",
                            "--seconds", str(args.seconds), "--trace", "0"]),
-        "machine": ({k: v for k, v in machine.items() if k not in ("commit", "seed")}
-                    if machine else {"python": platform.python_version(),
-                                     "nproc": os.cpu_count()}),
+        "machine": {k: v for k, v in (machine or {}).items() if k not in ("commit", "seed")},
         "summary": summarize(runs, metrics),
         "operations": operations(runs),
         "runs": runs,
