@@ -173,7 +173,7 @@ class Element:
         return out
 
     def _check_same_algebra(self, other: Element):
-        if other.algebra.beta != self.algebra.beta:
+        if other.algebra is not self.algebra and other.algebra.beta != self.algebra.beta:
             raise InputError("elements live over different deformation parameters")
 
     def __add__(self, other) -> Element:
@@ -240,7 +240,7 @@ class Element:
             if coeff is None:
                 return NotImplemented
             other = Element(self.algebra, {EMPTY_WORD: coeff})
-        if other.algebra.beta != self.algebra.beta:
+        if other.algebra is not self.algebra and other.algebra.beta != self.algebra.beta:
             return False
         if self._terms.keys() != other._terms.keys():
             return False

@@ -21,15 +21,19 @@ class _Record:
     """Base of the package's immutable value classes.
 
     A subclass names its fields once, as __slots__ = _fields = (...), and
-    sets them in its own __init__ through object.__setattr__.  Equality,
-    hash, repr and pickling come from that field tuple as for a frozen
-    dataclass: records of different classes never compare equal, a record
-    hashes as the tuple of its field values, and repr reads
-    Class(field=value, ...).
+    may default its trailing fields in _defaults.  The one constructor binds
+    positional arguments, then keywords, then _defaults, to the fields, and
+    raises TypeError on too many arguments or an unknown, repeated or
+    missing field.  A subclass that checks or coerces its input keeps its
+    own __init__ and ends it with super().__init__(...).  Equality, hash,
+    repr and pickling come from the field tuple as for a frozen dataclass:
+    records of different classes never compare equal, a record hashes as
+    the tuple of its field values, and repr reads Class(field=value, ...).
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     @staticmethod
     def _astuple(record) -> tuple:
@@ -42,6 +46,26 @@ class _Record:
         if fields:  # attrgetter reads every field in one C call
             get = attrgetter(*fields)
             cls._astuple = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bind keywords, then _defaults
+            cls = self.__class__.__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{cls} has {len(fields)} fields, got {len(args)} arguments")
+            values = dict(zip(fields, args))
+            for name, value in kwargs.items():
+                if name not in fields or name in values:
+                    raise TypeError(f"{cls} got an unknown or repeated field {name!r}")
+                values[name] = value
+            values = dict(zip(reversed(fields), reversed(self._defaults))) | values
+            missing = [name for name in fields if name not in values]
+            if missing:
+                raise TypeError(f"{cls} is missing field {missing[0]!r}")
+            args = [values[name] for name in fields]
+        setattr_ = object.__setattr__
+        for name, value in zip(fields, args):
+            setattr_(self, name, value)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -103,13 +127,7 @@ class DeformationParameter(_Record):
     """
 
     __slots__ = _fields = ("numerator", "denominator", "denominator_factors")
-
-    def __init__(self, numerator: int | None = None, denominator: int | None = None,
-                 denominator_factors: tuple[tuple[int, int], ...] | None = None):
-        setattr_ = object.__setattr__
-        setattr_(self, "numerator", numerator)
-        setattr_(self, "denominator", denominator)
-        setattr_(self, "denominator_factors", denominator_factors)
+    _defaults = (None, None, None)
 
     @property
     def is_rational(self) -> bool:
@@ -161,9 +179,6 @@ class IsotropySubgroup(_Record):
     """
 
     __slots__ = _fields = ("generator",)
-
-    def __init__(self, generator: int | None):
-        object.__setattr__(self, "generator", generator)
 
     def contains(self, k: int) -> bool:
         if self.generator is None:

@@ -41,13 +41,6 @@ class ParseError(InputError):
 class _Token(_Record):
     __slots__ = _fields = ("kind", "value", "line", "column")
 
-    def __init__(self, kind: str, value: str, line: int, column: int):
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", kind)
-        setattr_(self, "value", value)
-        setattr_(self, "line", line)
-        setattr_(self, "column", column)
-
 
 _PUNCT = set("[]()^*+-/")
 _DIGITS = set("0123456789")  # str.isdigit also accepts superscripts and other scripts

@@ -412,16 +412,10 @@ class PsdVerdict(_Record):
     """
 
     __slots__ = _fields = ("is_psd", "witness", "form_value", "min_eigenvalue")
+    _defaults = (None, None, None)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, is_psd: bool, witness: tuple | None = None,
-                 form_value: Fraction | None = None, min_eigenvalue: float | None = None):
-        self.is_psd = is_psd
-        self.witness = witness
-        self.form_value = form_value
-        self.min_eigenvalue = min_eigenvalue
 
     def describe(self) -> str:
         if self.is_psd:

@@ -21,7 +21,7 @@ from itertools import accumulate, compress
 from math import gcd, lcm, pi
 from operator import add, sub
 
-from .deformation import MAX_LEVEL, InputError, factorize
+from .deformation import MAX_LEVEL, InputError, _Record, factorize
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -36,35 +36,15 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-class QQi:
+class QQi(_Record):
     """Gaussian rational a + b*i with exact rational parts; immutable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = _fields = ("re", "im")
 
     def __init__(self, re=_F0, im=_F0):
         setattr_ = object.__setattr__
         setattr_(self, "re", re if isinstance(re, Fraction) else _as_fraction(re))
         setattr_(self, "im", im if isinstance(im, Fraction) else _as_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not QQi:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"QQi(re={self.re!r}, im={self.im!r})"
-
-    def __reduce__(self):
-        return QQi, (self.re, self.im)
 
     @classmethod
     def of(cls, x) -> QQi:

@@ -226,9 +226,6 @@ class ProductState(StateSpec):
 
     __slots__ = _fields = ("moments",)
 
-    def __init__(self, moments: MomentSequence):
-        object.__setattr__(self, "moments", moments)
-
     def value(self, word: Word, values: Values):
         field = values.field
         acc = field.moment_one
@@ -297,8 +294,7 @@ class _BlockFamily(StateSpec):
                 f"{self.base_noun} base must be shift invariant "
                 "(trace, product, mixture, or cesaro)"
             )
-        object.__setattr__(self, "half_width", half_width)
-        object.__setattr__(self, "base", base)
+        super().__init__(half_width, base)
 
     def children(self) -> tuple[StateSpec, ...]:
         return (self.base,)
@@ -426,7 +422,7 @@ class MixtureState(StateSpec):
             raise InputError("mixture weights must be positive")
         if sum(w for w, _ in parts) != 1:
             raise InputError("mixture weights must sum to 1")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     def children(self) -> tuple[StateSpec, ...]:
         return tuple(p for _, p in self.parts)

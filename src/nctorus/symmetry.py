@@ -27,9 +27,7 @@ class Shift(_Record):
     """k -> k + amount."""
 
     __slots__ = _fields = ("amount",)
-
-    def __init__(self, amount: int = 1):
-        object.__setattr__(self, "amount", amount)
+    _defaults = (1,)
 
     def __call__(self, k: int) -> int:
         return k + self.amount
@@ -44,9 +42,7 @@ class PartialShift(_Record):
     """Right-hand-side partial shift: k below the pivot stays, the rest bumps."""
 
     __slots__ = _fields = ("pivot",)
-
-    def __init__(self, pivot: int = 0):
-        object.__setattr__(self, "pivot", pivot)
+    _defaults = (0,)
 
     def __call__(self, k: int) -> int:
         return k if k < self.pivot else k + 1
@@ -59,9 +55,6 @@ class Composite(_Record):
     """Composition, rightmost map applied first; no parts is the identity."""
 
     __slots__ = _fields = ("parts",)
-
-    def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)
 
     def __call__(self, k: int) -> int:
         for part in reversed(self.parts):
@@ -87,9 +80,7 @@ class TableMap(_Record):
             raise InputError("a table map needs a nonempty window")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InputError("table values must increase strictly")
-        setattr_ = object.__setattr__
-        setattr_(self, "lo", lo)
-        setattr_(self, "values", values)
+        super().__init__(lo, values)
 
     def __call__(self, k: int) -> int:
         hi = self.lo + len(self.values) - 1
@@ -181,29 +172,10 @@ def random_factor_word(rng: random.Random, max_factors: int, max_index: int,
 class Counterexample(_Record):
     __slots__ = _fields = ("word", "action", "before", "after")
 
-    def __init__(self, word: str, action: str, before: str, after: str):
-        setattr_ = object.__setattr__
-        setattr_(self, "word", word)
-        setattr_(self, "action", action)
-        setattr_(self, "before", before)
-        setattr_(self, "after", after)
-
 
 class CheckReport(_Record):
     __slots__ = _fields = ("property_name", "state", "passed", "exhaustive_cases",
                            "random_trials", "counterexample", "budget")
-
-    def __init__(self, property_name: str, state: str, passed: bool,
-                 exhaustive_cases: int, random_trials: int,
-                 counterexample: Counterexample | None, budget: str):
-        setattr_ = object.__setattr__
-        setattr_(self, "property_name", property_name)
-        setattr_(self, "state", state)
-        setattr_(self, "passed", passed)
-        setattr_(self, "exhaustive_cases", exhaustive_cases)
-        setattr_(self, "random_trials", random_trials)
-        setattr_(self, "counterexample", counterexample)
-        setattr_(self, "budget", budget)
 
     def lines(self) -> list[str]:
         out = [

@@ -1,5 +1,7 @@
-"""tools/ab.py runs a stub benchmark on two commits of a throwaway repository."""
+"""tools/ab.py runs a stub benchmark on two commits of a throwaway repository,
+and its verdicts follow the paired protocol."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,6 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("ab", TOOL)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
 
 BENCHMARK = {
     "command": ["python3", "perfbench/run.py"],
@@ -118,3 +123,29 @@ def test_refusals_exit_2(tmp_path):
         done = run_tool(*args, "--workload", "w", "--out", str(out), cwd=repo)
         assert done.returncode == 2 and message in done.stderr, (args, done.stderr)
     assert not out.exists()
+
+
+def verdict(base, change, better="lower"):
+    """summarize's entry for one metric measured on pairs (base[i], change[i])."""
+    runs = [{"pair": i, "side": side, "result": {"metrics": {"m": {"value": value}}}}
+            for i, pair in enumerate(zip(base, change)) for side, value in zip(ab.SIDES, pair)]
+    return ab.summarize(runs, [{"name": "m", "better": better}])["m"]
+
+
+def test_verdicts_need_the_median_beyond_the_iqr_and_9_of_10_pairs():
+    base = list(range(10, 20))  # median 14.5, quartiles 12.25 and 16.75
+    assert verdict(base, base)["verdict"] == "unresolved: inside the base's IQR"
+    lower = [b - 5 for b in base]
+    s = verdict(base, lower)
+    assert (s["base_iqr"], s["change_median"]) == (4.5, 9.5)
+    assert (s["change_won"], s["change_lost"], s["verdict"]) == ("10/10", "0/10", "better")
+    assert verdict(base, lower, better="higher")["verdict"] == "worse"
+    assert verdict(base, [b + 5 for b in base])["verdict"] == "worse"
+    assert verdict(base, lower[:9] + [20])["verdict"] == "better"  # 9 of 10 pairs
+    s = verdict(base, lower[:8] + [19, 20])  # the median still moves by 5
+    assert s["change_median"] == 9.5
+    assert s["verdict"] == "unresolved: won 8, lost 2 of 10 pairs"
+    s = verdict(base, [b + 7 for b in base[:8]] + [0, 1])  # median 19.5
+    assert s["verdict"] == "unresolved: won 2, lost 8 of 10 pairs"
+    assert verdict(base[:3], [b - 5 for b in base[:3]])["verdict"] == "better"
+    assert verdict(base[:5], [1, 2, 3, 4, 99])["verdict"] == "unresolved: won 4, lost 1 of 5 pairs"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nctorus import (
     IRRATIONAL,
+    DeformationParameter,
     InputError,
     PhaseCoefficient,
     QQi,
@@ -190,6 +191,26 @@ class TestElement:
         b = TorusAlgebra(BETA_HALF)
         with pytest.raises(InputError):
             a.u(0) * b.u(0)
+
+    def test_one_algebra_skips_the_beta_comparison(self, monkeypatch):
+        a = TorusAlgebra(BETA_QUARTER)
+        x, y = a.u(0), a.u(1)
+
+        def refuse(self, other):
+            raise AssertionError("beta compared within one algebra")
+
+        monkeypatch.setattr(DeformationParameter, "__eq__", refuse)
+        assert x * y == a.word([(0, 1), (1, 1)]) and x + y == y + x
+        assert x != y and x * y - y * x != a.zero() and x * 2 == x + x
+        monkeypatch.undo()
+        b = TorusAlgebra(canonicalize(1, 4))
+        assert b.beta is not a.beta
+        assert x * b.u(1) == b.u(0) * y and x + b.u(1) == b.u(1) + x
+        c = TorusAlgebra(BETA_HALF)
+        for op in (lambda: x + c.u(1), lambda: x * c.u(1)):
+            with pytest.raises(InputError, match="different deformation parameters"):
+                op()
+        assert x != c.u(0)
 
     def test_scalar_products_count_coefficient_terms(self):
         from nctorus.algebra import MAX_PRODUCT_PAIRS

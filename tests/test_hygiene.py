@@ -7,10 +7,13 @@ constant is referenced somewhere in src/ outside its own definition, and
 only the command line imports the oracle, so that the reference
 implementations stay references.  A cold import of the command line and
 the modules it runs loads neither dataclasses (nor the inspect module it
-pulls in) nor numpy, which loads on first use.
+pulls in) nor numpy, which loads on first use.  Every record names its
+fields once, in __slots__ = _fields, and only the records that check or
+coerce their input write their own constructor.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -154,3 +157,64 @@ def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+# The records that keep their own __init__, and why
+OWN_INIT = {
+    "QQi": "coerces ints to Fractions without a binding step on the arithmetic path",
+    "TableMap": "refuses an empty window or values that do not increase strictly",
+    "_BlockFamily": "refuses a negative half width or a base that is not shift invariant",
+    "MixtureState": "coerces the weights to Fractions and refuses any that do not sum to 1",
+}
+
+
+def record_classes() -> list[type]:
+    """Every _Record subclass defined in the package, with every module imported."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"nctorus.{path.stem}")
+    from nctorus.deformation import _Record
+
+    found, todo = [], [_Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("nctorus.") and cls not in found:
+                found.append(cls)
+                todo.append(cls)
+    return found
+
+
+def test_records_name_each_field_once():
+    classes = record_classes()
+    assert {"QQi", "PsdVerdict", "CesaroState", "_Token"} <= {c.__name__ for c in classes}
+    assert [c.__name__ for c in classes
+            if "_fields" in c.__dict__ and c.__dict__.get("__slots__") != c._fields] == []
+    assert sorted(c.__name__ for c in classes if "__init__" in c.__dict__) == sorted(OWN_INIT)
+
+
+def setattr_sites(source: str) -> list[str]:
+    """Where the source reads object.__setattr__: Class.member within a class,
+    else the top-level name."""
+    out = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            members = [(f"{top.name}.", stmt) for stmt in top.body]
+        else:
+            members = [("", top)]
+        for prefix, stmt in members:
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "__setattr__"
+                   and isinstance(sub.value, ast.Name) and sub.value.id == "object"
+                   for sub in ast.walk(stmt)):
+                name = getattr(stmt, "name", None) or ast.unparse(stmt).split(" =")[0]
+                out.append(prefix + name)
+    return out
+
+
+def test_only_the_record_constructors_set_fields_by_hand():
+    sites = [site for source in package_sources().values() for site in setattr_sites(source)]
+    assert sorted(sites) == ["PsdVerdict.__setattr__", "QQi.__init__", "_Record.__init__"]
+    source = ("class A:\n    __setattr__ = object.__setattr__\n"
+              "    def f(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "def g(x):\n    set_ = object.__setattr__\n"
+              "H = object.__setattr__\nI = setattr\n")
+    assert setattr_sites(source) == ["A.__setattr__", "A.f", "g", "H"]

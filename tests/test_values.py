@@ -29,6 +29,7 @@ from nctorus import (
     PartialShift,
     ProductState,
     PsdVerdict,
+    QQi,
     Shift,
     TableMap,
     Trace,
@@ -85,6 +86,8 @@ IMMUTABLE = [
      lambda: CheckReport("p", "trace", True, 3, 5, None, "b"),
      "CheckReport(property_name='p', state='trace', passed=True, exhaustive_cases=3, "
      "random_trials=4, counterexample=None, budget='b')"),
+    ("qqi", lambda: QQi(Fraction(1, 2)), (Fraction(1, 2), Fraction(0)),
+     lambda: QQi(Fraction(1, 2), 1), "QQi(re=Fraction(1, 2), im=Fraction(0, 1))"),
 ]
 
 
@@ -157,3 +160,35 @@ def test_mixture_weights_become_a_tuple_of_fractions():
     assert x.parts == ((Fraction(1), TRACE),) and type(x.parts) is tuple
     assert type(x.parts[0][0]) is Fraction
     assert x == MixtureState(((Fraction(1), TRACE),))
+
+
+# (id, make, message): make() binds its arguments to the record's fields wrongly
+BAD_BINDINGS = [
+    ("shift-too-many", lambda: Shift(1, 2), "Shift has 1 fields, got 2 arguments"),
+    ("shift-unknown", lambda: Shift(step=1), "Shift got an unknown or repeated field 'step'"),
+    ("shift-twice", lambda: Shift(1, amount=2), "Shift got an unknown or repeated field 'amount'"),
+    ("counterexample-too-many", lambda: Counterexample("u[1]", "tau", "1", "0", "x"),
+     "Counterexample has 4 fields, got 5 arguments"),
+    ("counterexample-unknown", lambda: Counterexample("u[1]", "tau", "1", "0", state="x"),
+     "Counterexample got an unknown or repeated field 'state'"),
+    ("counterexample-twice", lambda: Counterexample("u[1]", "tau", before="1", word="0"),
+     "Counterexample got an unknown or repeated field 'word'"),
+    ("counterexample-missing", lambda: Counterexample("u[1]", "tau", after="0"),
+     "Counterexample is missing field 'before'"),
+    ("beta-too-many", lambda: DeformationParameter(1, 2, ((2, 1),), 0),
+     "DeformationParameter has 3 fields, got 4 arguments"),
+    ("beta-unknown", lambda: DeformationParameter(1, den=2),
+     "DeformationParameter got an unknown or repeated field 'den'"),
+    ("beta-twice", lambda: DeformationParameter(1, numerator=1),
+     "DeformationParameter got an unknown or repeated field 'numerator'"),
+    ("report-missing", lambda: CheckReport("p", "trace", True, 3, 4, None),
+     "CheckReport is missing field 'budget'"),
+    ("verdict-missing", lambda: PsdVerdict(witness=(1,)), "PsdVerdict is missing field 'is_psd'"),
+]
+
+
+@pytest.mark.parametrize("make,message", [c[1:] for c in BAD_BINDINGS],
+                         ids=[c[0] for c in BAD_BINDINGS])
+def test_bad_bindings_raise_type_error(make, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        make()

@@ -16,9 +16,11 @@ ranges A-B (default 1..N).
 The output holds, for every end-to-end metric of BENCHMARK.json, the
 per-pair values, each side's median and quartiles
 (statistics.quantiles(n=4, method="inclusive")), the pairs the change won
-in the metric's `better` direction, and a verdict: a median difference
-inside the base's interquartile range is "unresolved".  It also holds both
-commits, the exact command and every run's result.  `--base HEAD` with the
+and lost in the metric's `better` direction, and a verdict.  The verdict
+is "better" (or "worse") only when the change's median moves that way by
+more than the base's interquartile range and the change wins (or loses)
+at least 9 of every 10 pairs; anything else is "unresolved".  It also
+holds both commits, the exact command and every run's result.  `--base HEAD` with the
 default change is the A/A control.  Exit codes: 0 when every run
 completed, 1 when a run failed, 2 for bad input (no pairs, an unknown
 revision, seeds that do not number the pairs, no directory for the output).
@@ -134,8 +136,8 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per-metric pair values, medians, quartiles, pairs won and verdict,
-    over the pairs whose two runs both completed."""
+    """Per-metric pair values, medians, quartiles, pairs won and lost, and
+    verdict, over the pairs whose two runs both completed."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -151,20 +153,25 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             continue
         base, change = [p[0] for p in pairs], [p[1] for p in pairs]
         won = sum((c < b) if lower else (c > b) for b, c in pairs)
+        lost = sum((c > b) if lower else (c < b) for b, c in pairs)
         q_base = quartiles(base)
         b_med, c_med = statistics.median(base), statistics.median(change)
         iqr = q_base[1] - q_base[0]
+        improved = (c_med < b_med) == lower
         if abs(c_med - b_med) <= iqr:
             verdict = "unresolved: inside the base's IQR"
+        elif 10 * (won if improved else lost) < 9 * len(pairs):
+            verdict = f"unresolved: won {won}, lost {lost} of {len(pairs)} pairs"
         else:
-            verdict = "better" if (c_med < b_med) == lower else "worse"
+            verdict = "better" if improved else "worse"
         out[name] = {
             "unit": metric.get("unit"), "better": metric.get("better"),
             "pairs": pairs,
             "base_median": b_med, "base_quartiles": q_base, "base_iqr": iqr,
             "change_median": c_med, "change_quartiles": quartiles(change),
             "change_over_base": c_med / b_med if b_med else None,
-            "change_won": f"{won}/{len(pairs)}", "verdict": verdict,
+            "change_won": f"{won}/{len(pairs)}", "change_lost": f"{lost}/{len(pairs)}",
+            "verdict": verdict,
         }
     return out
 
@@ -233,8 +240,9 @@ def main(argv: list[str]) -> int:
             "runs one seed on both sides, one after the other; even pairs run the base "
             "first, odd pairs the change first; both sides are git archive exports in a "
             "temporary directory, run with no __pycache__ and PYTHONDONTWRITEBYTECODE=1; "
-            "quartiles by statistics.quantiles(n=4, method='inclusive'); a median "
-            "difference inside the base's IQR is unresolved"),
+            "quartiles by statistics.quantiles(n=4, method='inclusive'); a verdict needs "
+            "a median difference beyond the base's IQR and the change winning (better) "
+            "or losing (worse) at least 9 of every 10 pairs, else it is unresolved"),
         "base": {"rev": args.base, "commit": commits["base"]},
         "change": {"rev": args.change, "commit": commits["change"]},
         "workload": args.workload, "seconds": args.seconds,
