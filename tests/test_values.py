@@ -3,7 +3,8 @@
 Each record compares equal to a record of the same class with equal fields
 and to nothing else, hashes as the tuple of its fields when it is
 immutable, prints as Class(field=value, ...), refuses assignment to its fields when
-it is immutable, and survives copy and pickle.
+it is immutable, and survives copy and pickle.  The constructor the records share
+refuses arguments that do not bind to the fields.
 """
 
 import copy
