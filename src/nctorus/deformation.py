@@ -25,10 +25,11 @@ class _Record:
     positional arguments, then keywords, then _defaults, to the fields, and
     raises TypeError on too many arguments or an unknown, repeated or
     missing field.  A subclass that checks or coerces its input keeps its
-    own __init__ and ends it with super().__init__(...).  Equality, hash,
-    repr and pickling come from the field tuple as for a frozen dataclass:
-    records of different classes never compare equal, a record hashes as
-    the tuple of its field values, and repr reads Class(field=value, ...).
+    own __init__ and ends it with super().__init__(...); only QQi sets its
+    fields itself, as its constructor runs on the arithmetic path.
+    Equality, hash, repr and pickling come from the field tuple as for a
+    frozen dataclass: records of different classes never compare equal, a
+    record hashes as its field values' tuple; repr is Class(field=value, ...).
     """
 
     __slots__ = ()
