@@ -469,7 +469,8 @@ class PhaseCoefficient:
         out: dict[tuple[Fraction, int], Fraction] = {}
         for (q1, m1), r1 in self._terms.items():
             for (q2, m2), r2 in other._terms.items():
-                _add_into(out, ((q1 + q2) % 1, m1 + m2), r1 * r2)
+                q = (q1 + q2) % 1 if q1 and q2 else q1 or q2  # angles lie in [0, 1)
+                _add_into(out, (q, m1 + m2), r1 * r2)
         return PhaseCoefficient._make(out)
 
     __rmul__ = __mul__

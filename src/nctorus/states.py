@@ -227,6 +227,11 @@ class ProductState(StateSpec):
     __slots__ = _fields = ("moments",)
 
     def value(self, word: Word, values: Values):
+        if word and (word[0][0] or word[-1][0] != len(word) - 1):
+            # the value depends on the exponents only: a word whose indices
+            # (increasing) are not 0..k-1 reads its packed word's value, so
+            # that equal values are one object within one Values
+            return values.of(self, tuple(enumerate(e for _, e in word)))
         field = values.field
         acc = field.moment_one
         for _, e in word:

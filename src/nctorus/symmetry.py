@@ -10,6 +10,7 @@ pass is always reported together with its budget.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -259,6 +260,20 @@ def _check_budget(actions: int, exhaustive: bool, **fields: int) -> None:
 # per-process table: only a budget of at most this many words has a
 # _first_forms table built and kept (the CLI default budget has 8,421 words).
 MAX_CACHED_VALUES = 2**16
+# Index-map families whose image tables a first-form table keeps; the one
+# kept longest is dropped to make room for another.
+MAX_KEPT_FAMILIES = 8
+
+
+class _FormTable(tuple):
+    """A budget's first forms, as _first_forms lists them, with the image
+    tables of the index-map families checked on them (images, by the
+    family's tuple of maps; see _image_table)."""
+
+    def __new__(cls, entries):
+        table = super().__new__(cls, entries)
+        table.images = {}
+        return table
 
 
 @lru_cache(maxsize=1)
@@ -273,19 +288,58 @@ def _first_forms(max_factors: int, max_index: int, max_exponent: int,
     once and shared by the checks that follow on that budget and mode.
     One table is kept, that of the budget and mode used last: every
     measured caller (a CLI child, the benchmark's checker workload) checks
-    one budget per process.  cache_info() reports the table kept and its
-    hits.
+    one budget per process.  The images of the forms do not depend on the
+    state either, so the table also keeps the image table of each
+    index-map family checked on it (at most MAX_KEPT_FAMILIES), and drops
+    them with itself.  cache_info() reports the table kept and its hits.
     """
     first = {}
     for position, entry in enumerate(iter_normal_words(max_factors, max_index, max_exponent)):
         _, twist, nf = entry
         first.setdefault(nf if exact else (twist, nf), (position, entry))
-    return tuple(first.values())
+    return _FormTable(first.values())
+
+
+def _image_table(forms, images):
+    """The moved images of each first form under an index-map family, as
+    (offsets, ks, slots, words).
+
+    Row r, the r-th form, holds the entries offsets[r] to offsets[r + 1] - 1
+    of the array columns ks and slots: the first action k of each class of
+    maps, in increasing k, and the slot of the class's image in words, the
+    tuple of distinct image words.  A class that leaves the form in place
+    has no entry, as its image's value is the form's.  images is the
+    family's images(nf, base, value), run with each image word standing for
+    its own value; the words share their (index, exponent) pairs.
+    """
+    pairs, slot_of = {}, {}
+    offsets, ks, slots = array("i", [0]), array("i"), array("i")
+    for _, (_, _, nf) in forms:
+        for k, mapped in images(nf, None, lambda word: word):
+            if mapped is not None:
+                slot = slot_of.get(mapped)
+                if slot is None:
+                    slot = slot_of[tuple(pairs.setdefault(f, f) for f in mapped)] = len(slot_of)
+                ks.append(k)
+                slots.append(slot)
+        offsets.append(len(ks))
+    return offsets, ks, slots, tuple(slot_of)
+
+
+def _kept_image_table(forms, maps, images):
+    """The image table of forms for the index maps maps (a tuple), built
+    on the first check that asks for it."""
+    tables = forms.images
+    if maps not in tables:
+        if len(tables) == MAX_KEPT_FAMILIES:
+            del tables[next(iter(tables))]  # the table kept longest
+        tables[maps] = _image_table(forms, images)
+    return tables[maps]
 
 
 def _check(name, state, beta, actions_note, actions, images, draw, move, label, *,
            trials, seed, max_factors, max_index, max_exponent, exhaustive,
-           mode) -> CheckReport:
+           mode, index_maps=False) -> CheckReport:
     """Compare phi(alpha(x)) with phi(x) over one family of actions alpha.
 
     actions is a sized sequence.  The families compute image values and
@@ -308,10 +362,15 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     A budget of at most MAX_CACHED_VALUES words walks its _first_forms
     table, one verdict per key: the first failing word is the first word of
     the first failing key, so it fails at case position * len(actions) +
-    k + 1, and a pass counts every word against every action.  A larger
-    budget walks the words themselves through a verdict lru_cache, so its
-    memory stays bounded.  Randomized pass: trial t draws a word and then
-    its action from seed xor t, through draw(rng, word) or, when draw is
+    k + 1, and a pass counts every word against every action.  When the
+    actions are index maps (index_maps), the table's image table for them
+    (_image_table, built by the first such check) stands in for images:
+    the check reads each image word's state value once, into a list by
+    slot, and compares it with base by identity before equality, so equal
+    values that are one object cost no arithmetic.  A larger budget walks
+    the words themselves through a verdict lru_cache, so its memory stays
+    bounded.  Randomized pass: trial t draws a word and then its action
+    from seed xor t, through draw(rng, word) or, when draw is
     None, as a member of actions.  The trials after a passing exhaustive
     pass count but are not drawn when draw is None: the drawn word is one
     of the budget's words, the action one of actions, and the pass compared
@@ -321,8 +380,9 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     starts afresh between two top-level words once it holds
     MAX_CACHED_VALUES entries, never inside one word's evaluation; every
     other memo, here and in the families, is an lru_cache of that many
-    entries: verdicts on a walk of the words, value functions by twist,
-    restrictions by support and gauge turns by residue.
+    entries (verdicts on a walk of the words, value functions by twist,
+    restrictions by support and gauge turns by residue) or, for the values
+    by slot, one entry per word of the kept image table.
     """
     _check_budget(len(actions), exhaustive, trials=trials, max_factors=max_factors,
                   max_index=max_index, max_exponent=max_exponent)
@@ -336,14 +396,19 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     )
     memo = states.Values(algebra, field)
 
-    def word_value(twist, word):
+    def state_value(word):
         nonlocal memo
         if len(memo) >= MAX_CACHED_VALUES:
             memo = states.Values(algebra, field)
-        v = memo.of(state, word)
+        return memo.of(state, word)
+
+    def twisted(twist, v):
         if twist and not field.is_zero(v):
             v = v * field.coefficient(algebra.twist_phase(twist))
         return v
+
+    def word_value(twist, word):
+        return twisted(twist, state_value(word))
 
     # value_at(twist)(word) == word_value(twist, word); one function per
     # twist, as a fresh one per normal form costs more than the lookup
@@ -355,6 +420,29 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
             if not field.equal(after, base):
                 return k
         return None
+
+    def verdicts(forms, verdict):
+        # (position, entry, first failing k or None) per form
+        for position, entry in forms:
+            yield position, entry, verdict(0 if exact else entry[1], entry[2])
+
+    def table_failures(forms, table):
+        # verdicts(forms, first_failure), read from the forms' image table
+        offsets, ks, slots, image_words = table
+        slot_values = [None] * len(image_words)
+        for row, (position, entry) in enumerate(forms):
+            twist = 0 if exact else entry[1]
+            base, k = word_value(twist, entry[2]), None
+            for j in range(offsets[row], offsets[row + 1]):
+                v = slot_values[slots[j]]
+                if v is None:
+                    v = slot_values[slots[j]] = state_value(image_words[slots[j]])
+                if twist:
+                    v = twisted(twist, v)
+                if v is not base and not field.equal(v, base):
+                    k = ks[j]
+                    break
+            yield position, entry, k
 
     def moved(action, twist, nf):
         base = word_value(twist, nf)
@@ -368,14 +456,16 @@ def _check(name, state, beta, actions_note, actions, images, draw, move, label, 
     cases = 0
     if exhaustive:
         words = _word_count(max_factors, max_index, max_exponent)
-        if words <= MAX_CACHED_VALUES:
+        if words > MAX_CACHED_VALUES:
+            found = verdicts(enumerate(iter_normal_words(max_factors, max_index, max_exponent)),
+                             lru_cache(MAX_CACHED_VALUES)(first_failure))
+        elif index_maps:
             forms = _first_forms(max_factors, max_index, max_exponent, exact)
-            verdict = first_failure
+            found = table_failures(forms, _kept_image_table(forms, tuple(actions), images))
         else:
-            forms = enumerate(iter_normal_words(max_factors, max_index, max_exponent))
-            verdict = lru_cache(MAX_CACHED_VALUES)(first_failure)
-        for position, (factors, twist, nf) in forms:
-            k = verdict(0 if exact else twist, nf)
+            found = verdicts(_first_forms(max_factors, max_index, max_exponent, exact),
+                             first_failure)
+        for position, (factors, twist, nf), k in found:
             if k is not None:
                 return failed(position * len(actions) + k + 1, 0, factors, actions[k],
                               *moved(actions[k], twist, nf))
@@ -451,7 +541,7 @@ def check_spreadable(state: StateSpec, beta: DeformationParameter, *,
         _SPREADING_MAPS, _index_map_images(_SPREADING_MAPS), draw, _index_map_move,
         lambda h: h.describe(),
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
-        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
+        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode, index_maps=True,
     )
 
 
@@ -472,7 +562,7 @@ def check_stationary(state: StateSpec, beta: DeformationParameter, *,
         _index_map_images(shifts), None, _index_map_move,
         lambda h: f"tau^{power}",
         trials=trials, seed=seed, max_factors=max_factors, max_index=max_index,
-        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode,
+        max_exponent=max_exponent, exhaustive=exhaustive, mode=mode, index_maps=True,
     )
 
 

@@ -97,6 +97,23 @@ def test_matches_dense_reference(pc):
     assert_matches_reference(pc)
 
 
+PRODUCT_LEVELS = [2, 3, 4, 5, 6, 8, 12]
+
+
+@given(phase_sums(PRODUCT_LEVELS), phase_sums(PRODUCT_LEVELS))
+@example(PhaseCoefficient.from_qqi(QQi(F(1, 2), F(-1, 3))),
+         PhaseCoefficient([((F(0), 0), F(2)), ((F(3, 4), 1), F(1)), ((F(1, 3), -1), F(1))]))
+@settings(max_examples=100, deadline=None)
+def test_product_matches_the_pairwise_angle_sum(x, y):
+    # __mul__ adds two angles only when both are nonzero; the reference adds
+    # every pair modulo 1, and the product reduces like the dense reference
+    pairs = [(((q1 + q2) % 1, m1 + m2), r1 * r2)
+             for (q1, m1), r1 in x._terms.items() for (q2, m2), r2 in y._terms.items()]
+    product = x * y
+    assert product._terms == PhaseCoefficient(pairs)._terms
+    assert_matches_reference(product)
+
+
 @given(phase_sums())
 @example(PhaseCoefficient([((F(1, 6), 0), F(1)), ((F(1, 3), 0), F(1)), ((F(1, 12), 1), F(2))]))
 @settings(max_examples=150, deadline=None)

@@ -159,6 +159,20 @@ def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
     assert done.stdout.split() == []
 
 
+def test_cold_import_builds_no_table():
+    # the first-form table, and the image tables it keeps, come with the
+    # first exhaustive check, never with an import
+    code = ("import gc\n"
+            "import nctorus.cli, nctorus.symmetry as symmetry\n"
+            "print(symmetry._first_forms.cache_info().currsize,\n"
+            "      sum(type(o) is symmetry._FormTable for o in gc.get_objects()))\n")
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
 # The records that keep their own __init__, and why
 OWN_INIT = {
     "QQi": "coerces ints to Fractions without a binding step on the arithmetic path",

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from nctorus import (
 )
 from nctorus import states
 from nctorus.states import _BlockFamily, cesaro_runs
+from nctorus.symmetry import iter_normal_words
 
 F = Fraction
 
@@ -177,6 +179,37 @@ class TestProduct:
         state = ProductState(m)
         v = evaluate(state, a.word([(0, 2), (1, -2)]))
         assert v == QQi(F(0), F(12, 25)) * QQi(F(0), F(-12, 25))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_words_read_their_packed_word(self, mode):
+        # a product's value depends on the exponents only: each word reads its
+        # packed word's value (the same exponents on 0..k-1), so one Values
+        # gives every word of an exponent pattern one value object and
+        # multiplies the moments once per pattern
+        field = states.scalar_field(mode)
+        multiplied = []
+
+        class CountingField(type(field)):
+            def moment(self, c):
+                multiplied.append(c)
+                return field.moment(c)
+
+        moments = MomentSequence({0: 1, 2: F(1, 2), 4: QQi(F(0), F(1, 3))}, mode=mode)
+        state = ProductState(moments)
+        values = states.Values(TorusAlgebra(BETA_HALF), CountingField())
+        patterns = set()
+        for _, _, word in iter_normal_words(3, 3, 2):
+            pattern = tuple(e for _, e in word)
+            patterns.add(pattern)
+            v = values.of(state, word)
+            assert v is values.of(state, tuple(enumerate(pattern))), word
+            reference = field.moment_one
+            for e in pattern:
+                reference = reference * field.moment(moments.moment(e))
+            assert field.equal(v, field.lift(reference)), word
+        # the loop stops at the first exponent without a moment
+        assert len(multiplied) == sum(len(list(takewhile(moments._moments.__contains__, p)))
+                                      for p in patterns)
 
 
 class TestBlockProduct:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from nctorus import (
     BlockProductState,
@@ -49,6 +49,7 @@ from nctorus.symmetry import (
     random_factor_word,
     spreading_map_grammar,
 )
+from test_expr_cli import state_descriptions
 
 F = Fraction
 BETA_HALF = canonicalize(1, 2)
@@ -593,15 +594,47 @@ def counted_index_map_images(monkeypatch):
     return calls
 
 
+def counted_image_tables(monkeypatch):
+    """(forms, table) of each image table built, from now on."""
+    built = []
+    image_table = symmetry._image_table
+
+    def counted(forms, images):
+        table = image_table(forms, images)
+        built.append((forms, table))
+        return table
+
+    monkeypatch.setattr(symmetry, "_image_table", counted)
+    return built
+
+
 def test_exhaustive_pass_applies_each_map_once_per_normal_form(monkeypatch):
-    calls = counted_index_map_images(monkeypatch)
+    symmetry._first_forms.cache_clear()
+    calls, built = counted_index_map_images(monkeypatch), counted_image_tables(monkeypatch)
     report = check_spreadable(soft_product(), BETA_HALF, trials=0)
     assert report.passed
     assert report.exhaustive_cases == 8421 * 57
     # 1,181 distinct normal forms among the 8,421 words, each moved once per
-    # class of maps with one restriction to its support: 13,581 of 1,181 x 57
+    # class of maps with one restriction to its support: 13,581 of 1,181 x 57,
+    # listed once, into the table
     assert len(set(calls)) == 1181
     assert len(calls) == 13581
+    [(forms, (offsets, ks, slots, words))] = built
+    assert len(forms) == len(offsets) - 1 == 1181
+    # the identity's class leaves each form in place and takes no entry:
+    # the table keeps the other 12,400 images, in the family's order
+    images = _index_map_images(spreading_map_grammar())
+    fixed = 0
+    for row, (_, (_, _, nf)) in enumerate(forms):
+        listed = list(images(nf, None, lambda word: word))
+        fixed += sum(mapped is None for _, mapped in listed)
+        assert [(k, words[s]) for k, s in zip(ks[offsets[row]:offsets[row + 1]],
+                                               slots[offsets[row]:offsets[row + 1]])] == [
+            (k, mapped) for k, mapped in listed if mapped is not None], nf
+    assert fixed == 1181 and len(ks) == len(slots) == 12400
+    # 4,812 distinct image words; with the forms, the 4,813 words a check evaluates
+    assert len(words) == len(set(words)) == 4812
+    assert len(set(words) | {nf for _, (_, _, nf) in forms}) == 4813
 
 
 def naive_first_forms(budget, exact, keep="first"):
@@ -629,6 +662,7 @@ def test_first_form_table_matches_naive_first_occurrences(budget, exact):
 
 def test_second_check_walks_the_kept_table(monkeypatch):
     calls, walks = counted_index_map_images(monkeypatch), []
+    built = counted_image_tables(monkeypatch)
     iter_words = symmetry.iter_normal_words
 
     def counted_walk(*budget):
@@ -639,15 +673,32 @@ def test_second_check_walks_the_kept_table(monkeypatch):
     symmetry._first_forms.cache_clear()
     first = check_spreadable(soft_product(), BETA_HALF, trials=0)
     assert walks == [(3, 2, 2)]
+    # one move per class of maps for each of the 1,181 normal forms, into
+    # the table of 12,400 moved images
+    assert len(set(calls)) == 1181
+    assert len(calls) == 13581
+    assert [len(ks) for _, (_, ks, _, _) in built] == [12400]
     calls.clear()
     second = check_spreadable(soft_product(), BETA_HALF, trials=0)
     assert walks == [(3, 2, 2)]  # no second enumeration
     assert second == first and second.exhaustive_cases == 8421 * 57
-    # still one move per class of maps for each of the 1,181 normal forms
-    assert len(set(calls)) == 1181
-    assert len(calls) == 13581
+    # and no image built: the second check reads the kept table
+    assert calls == [] and len(built) == 1
     info = symmetry._first_forms.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+
+def test_form_table_keeps_the_image_tables_of_the_last_families(monkeypatch):
+    built, kept = counted_image_tables(monkeypatch), symmetry.MAX_KEPT_FAMILIES
+    budget = dict(max_factors=2, max_index=1, max_exponent=1, trials=0)
+    symmetry._first_forms.cache_clear()
+    reports = [check_stationary(block_mixture(), BETA_HALF, power=p, **budget)
+               for p in range(1, kept + 2)]
+    [forms] = {id(forms): forms for forms, _ in built}.values()
+    # one more family than the table keeps: tau^1's, kept longest, is dropped
+    assert list(forms.images) == [(Shift(p),) for p in range(2, kept + 2)]
+    assert check_stationary(block_mixture(), BETA_HALF, power=1, **budget) == reports[0]
+    assert len(built) == kept + 2 and list(forms.images)[-1] == (Shift(1),)
 
 
 @pytest.mark.filterwarnings("ignore:moments supported outside")
@@ -857,6 +908,44 @@ def test_reports_match_case_by_case_reference(checker, make_state, beta, budget,
         assert expected[2] > 0  # the failure is found in the random pass
     assert checker_report(checker, state, beta, budget, mode=mode, power=power,
                           **random_pass) == expected
+
+
+# clean state descriptions at most two deep, a block product only at the top
+SHALLOW_STATES = st.one_of(
+    *(state_descriptions(depth, clean=True) for depth in range(3)),
+    st.fixed_dictionaries({"kind": st.just("block"), "n": st.integers(0, 2),
+                           "base": state_descriptions(1, clean=True)}))
+
+
+@pytest.mark.filterwarnings("ignore:moments supported outside")
+@settings(max_examples=60, deadline=None)
+@given(obj=SHALLOW_STATES, mode=st.sampled_from(["exact", "float"]),
+       budget=st.sampled_from([(2, 1, 1), (1, 2, 2), (2, 1, 2)]),
+       power=st.sampled_from([1, 2, -1]))
+def test_image_tables_match_the_streamed_walk_and_the_reference(obj, mode, budget, power):
+    # the kept image tables against two slow paths: the same check with the
+    # cap below the word count, which walks the words and moves each by the
+    # family's images, and the case-by-case reference
+    try:
+        state = states.state_from_json(obj, mode=mode)
+        states.validate_state(state, BETA_HALF, mode=mode)
+    except InputError:
+        reject()
+
+    def outcome(report, checker):
+        # the report, or the class of the error (a float Cesaro average at
+        # n = 10**400 overflows on every path)
+        try:
+            return report(checker, state, BETA_HALF, budget, mode=mode, power=power)
+        except OverflowError as exc:
+            return type(exc)
+
+    for checker in ("spreadable", "stationary"):
+        kept = outcome(checker_report, checker)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetry, "MAX_CACHED_VALUES", symmetry._word_count(*budget) - 1)
+            streamed = outcome(checker_report, checker)
+        assert kept == streamed == outcome(reference_report, checker), checker
 
 
 @pytest.mark.filterwarnings("ignore:moments supported outside")
