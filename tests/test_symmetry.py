@@ -910,22 +910,38 @@ def test_reports_match_case_by_case_reference(checker, make_state, beta, budget,
                           **random_pass) == expected
 
 
-# clean state descriptions at most two deep, a block product only at the top
+# fails both checks: a word in one block and its image over two differ
+TWO_PART_BLOCK = {"kind": "block", "n": 1, "base": {"kind": "mixture", "parts": [
+    ["1/2", {"kind": "product", "moments": [[2, "1/4", "-1/5"]]}], ["1/2", {"kind": "trace"}]]}}
+# inadmissible at 1/2, so float mode only: u[1]*u[0] = e(-1/2) u[0]*u[1] has a
+# nonzero value, and the twist turns it
+ODD_PRODUCT = {"kind": "product", "moments": [[1, "1/2", 0]]}
+# clean state descriptions at most two deep, a block product only at the
+# top, or over an even mixture of two leaves (not spreadable when they differ)
 SHALLOW_STATES = st.one_of(
     *(state_descriptions(depth, clean=True) for depth in range(3)),
-    st.fixed_dictionaries({"kind": st.just("block"), "n": st.integers(0, 2),
-                           "base": state_descriptions(1, clean=True)}))
+    st.fixed_dictionaries({"kind": st.just("block"), "n": st.integers(0, 2), "base": st.one_of(
+        state_descriptions(1, clean=True),
+        st.builds(lambda a, b: {"kind": "mixture", "parts": [["1/2", a], ["1/2", b]]},
+                  state_descriptions(0, clean=True), state_descriptions(0, clean=True)))}))
 
 
 @pytest.mark.filterwarnings("ignore:moments supported outside")
 @settings(max_examples=60, deadline=None)
 @given(obj=SHALLOW_STATES, mode=st.sampled_from(["exact", "float"]),
-       budget=st.sampled_from([(2, 1, 1), (1, 2, 2), (2, 1, 2)]),
+       budget=st.sampled_from([(2, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 2), (3, 1, 2)]),
        power=st.sampled_from([1, 2, -1]))
+@example(obj=TWO_PART_BLOCK, mode="exact", budget=(2, 2, 2), power=1)
+@example(obj=TWO_PART_BLOCK, mode="float", budget=(3, 1, 2), power=2)
+@example(obj=TWO_PART_BLOCK, mode="float", budget=(2, 1, 2), power=-1)
+@example(obj=ODD_PRODUCT, mode="float", budget=(2, 1, 1), power=1)
+@example(obj={"kind": "block", "n": 1, "base": ODD_PRODUCT}, mode="float", budget=(2, 2, 1),
+         power=2)
 def test_image_tables_match_the_streamed_walk_and_the_reference(obj, mode, budget, power):
     # the kept image tables against two slow paths: the same check with the
     # cap below the word count, which walks the words and moves each by the
-    # family's images, and the case-by-case reference
+    # family's images, and, on budgets of at most 157 words, the case-by-case
+    # reference
     try:
         state = states.state_from_json(obj, mode=mode)
         states.validate_state(state, BETA_HALF, mode=mode)
@@ -945,7 +961,9 @@ def test_image_tables_match_the_streamed_walk_and_the_reference(obj, mode, budge
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(symmetry, "MAX_CACHED_VALUES", symmetry._word_count(*budget) - 1)
             streamed = outcome(checker_report, checker)
-        assert kept == streamed == outcome(reference_report, checker), checker
+        assert kept == streamed, checker
+        if symmetry._word_count(*budget) <= 157:
+            assert kept == outcome(reference_report, checker), checker
 
 
 @pytest.mark.filterwarnings("ignore:moments supported outside")
